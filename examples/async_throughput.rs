@@ -199,6 +199,8 @@ fn run_service() -> Result<RunReport, Box<dyn std::error::Error>> {
         // Collect everything; drain() waits for the worker to finish.
         let outcome = handle.drain()?;
         let seconds = started.elapsed().as_secs_f64();
+        // The worker decides when to flush; its health ledger counts them.
+        let flushes = handle.metrics().flushes as usize;
         handle.close()?;
         assert_eq!(outcome.requests(), REQUESTS, "every ticket served");
         let (queue_us, execute_us) = latency_means(&outcome.results);
@@ -206,7 +208,7 @@ fn run_service() -> Result<RunReport, Box<dyn std::error::Error>> {
             label: "service".into(),
             seconds,
             requests_per_sec: REQUESTS as f64 / seconds,
-            flushes: 0, // the worker decides; waves tell the batching story
+            flushes,
             waves: outcome.waves,
             outputs: outcome
                 .results
@@ -289,7 +291,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "\"flushes\": {}, \"waves\": {}, \"mean_queue_latency_us\": {:.1}, ",
             "\"mean_execute_latency_us\": {:.1}}},\n",
             "    {{\"config\": \"service\", \"seconds\": {:.4}, \"requests_per_sec\": {:.1}, ",
-            "\"waves\": {}, \"mean_queue_latency_us\": {:.1}, ",
+            "\"flushes\": {}, \"waves\": {}, \"mean_queue_latency_us\": {:.1}, ",
             "\"mean_execute_latency_us\": {:.1}}}\n",
             "  ]\n}}\n"
         ),
@@ -308,6 +310,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sync.mean_execute_latency_us,
         service.seconds,
         service.requests_per_sec,
+        service.flushes,
         service.waves,
         service.mean_queue_latency_us,
         service.mean_execute_latency_us,

@@ -16,10 +16,11 @@
 //!  ┌──────────────┐ group by ┌───────────────────┐  wave  ┌──────┴──────┐
 //!  │ pending queue│─────────►│ fingerprint groups│───────►│  scheduler  │
 //!  │ (mixed       │ program  │ [i2f: t0 t2 t5…]  │ chunks │ shard 0 ──┐ │
-//!  │  traffic)    │ identity │ [add: t1 t3 t4…]  │ ≤ rows │ shard 1 ──┼─┼─► per-shard
-//!  └──────────────┘          └───────────────────┘        │ shard …   │ │   run_batch,
-//!                                                         └───────────┘ │   in parallel
-//!                                                          std::thread::scope
+//!  │  traffic)    │ identity │ [add: t1 t3 t4…]  │ ≤ rows │ shard 1 ──┼─┼─► per-shard batch:
+//!  └──────────────┘          └───────────────────┘        │ shard …   │ │   parallel in the
+//!                                                         └───────────┘ │   model clock, one
+//!                                                                       │   after another on
+//!                                                                       └── the flushing thread
 //! ```
 //!
 //! 1. [`PimCluster::submit`] enqueues one request against a compiled
@@ -34,8 +35,10 @@
 //!    [`pack_limit`](PimClusterBuilder::pack_limit) narrow requests
 //!    co-packed per line, axis per [`AxisPolicy`], the slot-offset fill
 //!    origin rotating per wave to level memristor wear), and dispatches
-//!    the batches wave by wave, one batch per shard per wave, shards
-//!    running in parallel via [`std::thread::scope`];
+//!    the batches wave by wave, one batch per shard per wave. The model
+//!    clock runs a wave's shards in parallel (its wall MEM cycles are the
+//!    slowest shard's); the host runs them one after another on the
+//!    flushing thread, in ascending shard order, and spawns no thread;
 //! 3. the [`ClusterOutcome`] returns every ticket's outputs, placement
 //!    (shard, wave, axis, line, offset) and host-side latencies
 //!    (queue + execute) plus two clocks: summed
@@ -311,9 +314,10 @@ impl PimClusterBuilder {
     }
 
     /// Number of host worker threads **each shard** fans a fused
-    /// row-parallel replay across (default `1`: run inline), on top of the
-    /// one-thread-per-busy-shard wave parallelism. Results, statistics and
-    /// check-bits are bit-identical for every thread count — see
+    /// row-parallel replay across (default `1`: run inline). This is the
+    /// only host parallelism inside a flush: a wave's shards themselves
+    /// run one after another on the flushing thread. Results, statistics
+    /// and check-bits are bit-identical for every thread count — see
     /// [`PimDeviceBuilder::threads`]. `0` is rejected at build time with
     /// [`ClusterError::ZeroThreads`].
     pub fn threads(mut self, threads: usize) -> Self {
@@ -561,8 +565,8 @@ impl PimClusterBuilder {
 
     /// Installs a fault hook on one shard (fault-injection knob for
     /// examples and tests): the hook runs against the shard's protected
-    /// memory after every batch load, before the pre-execution check —
-    /// the cluster-level twin of
+    /// memory once per batch, before the pre-execution check and the
+    /// input load — the cluster-level twin of
     /// [`PimDeviceBuilder::on_batch_loaded`](crate::device::PimDeviceBuilder::on_batch_loaded).
     /// One hook per shard; a later call for the same shard replaces the
     /// earlier one.
@@ -1873,8 +1877,9 @@ mod tests {
 
     #[test]
     fn a_fault_struck_shard_still_answers_correctly() {
-        // The pool inherits the device's ECC flow: a soft error on one
-        // shard between load and check is repaired before execution.
+        // The pool inherits the device's ECC flow: a soft error that
+        // strikes one shard before its batch is repaired by the batch's
+        // pre-check, before the inputs land.
         let (nor, nl) = xor_circuit();
         let mut cluster = PimCluster::new(2, 30, 3).expect("cluster");
         cluster.core.shards[1] = PimDeviceBuilder::new(30, 3)
@@ -1966,9 +1971,9 @@ mod tests {
 
     #[test]
     fn a_panicking_worker_poisons_waiters_and_producers() {
-        // A shard whose fault hook panics kills the dispatch thread and,
-        // with it, the worker. Every blocked or future caller must get
-        // `WorkerPoisoned` instead of hanging.
+        // A shard whose fault hook panics kills the worker, which runs
+        // every shard's batch itself. Every blocked or future caller must
+        // get `WorkerPoisoned` instead of hanging.
         let (nor, _) = xor_circuit();
         let device = PimDeviceBuilder::new(30, 3)
             .on_batch_loaded(|_| panic!("injected worker panic"))

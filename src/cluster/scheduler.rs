@@ -1,6 +1,10 @@
 //! The wave scheduler: turn the fingerprint groups into two-dimensional
-//! [`PlacementPlan`]s — one batch per shard per wave, shards in parallel on
-//! scoped threads.
+//! [`PlacementPlan`]s — one batch per shard per wave.
+//!
+//! Parallelism lives in the model clock only: a wave's shards tick in
+//! parallel, so its wall MEM cycles are the slowest shard's. The host runs
+//! the same shards one after another on the flushing thread, in ascending
+//! shard order, and spawns no thread.
 //!
 //! Each wave is planned in three passes:
 //!
@@ -436,9 +440,8 @@ fn plan_wave(
             }
         }
     }
-    // `dispatch_wave` pairs jobs with disjoint `&mut` shards in one
-    // ascending scan; the retry rotation can hand out shards in rotated
-    // order, so restore ascending order here.
+    // `dispatch_wave` runs jobs in ascending shard order; the retry
+    // rotation can hand out shards in rotated order, so restore it here.
     planned.sort_by_key(|(job, _)| job.shard);
     planned
 }
@@ -478,11 +481,14 @@ fn run_job(
     device.run_multi(&multi, &requests)
 }
 
-/// Runs one planned wave, each busy shard on its own scoped thread, and
-/// folds the batch outcomes into `outcome`. The wave's wall-clock
-/// contribution is the *maximum* busy time over its shards — they tick in
-/// parallel. Successful batches are folded in even when a sibling shard
-/// fails; only the first error is reported.
+/// Runs one planned wave and folds the batch outcomes into `outcome`.
+///
+/// The host runs the wave's jobs one after another on the flushing
+/// thread, in ascending shard order; the model clock still runs them in
+/// parallel, so the wave's wall MEM cycles are the *maximum* over its
+/// shards. Every job runs even when a sibling shard fails, its successful
+/// batch is folded in, and only the first error (lowest shard) is
+/// reported.
 ///
 /// Tickets whose lines drew an uncorrectable ECC verdict never yield a
 /// [`TicketResult`] here: their outputs are suppressed and they re-enter
@@ -502,49 +508,12 @@ fn dispatch_wave(
     wave: usize,
 ) -> Result<(), ClusterError> {
     let dispatched_at = Instant::now();
-    type Ran = (
-        WaveJob,
-        PlacementPlan,
-        Duration,
-        Result<MultiBatchOutcome, DeviceError>,
-    );
-    // A wave with a single busy shard runs inline: spawning (and joining)
-    // a scoped thread for one job costs more than the job's glue on small
-    // flushes, and the simulated wall-clock accounting below is identical
-    // either way.
-    let ran: Vec<Ran> = if jobs.len() == 1 {
-        let (job, plan) = jobs.into_iter().next().expect("one job");
-        let device = &mut shards[job.shard];
-        let started = Instant::now();
-        let result = run_job(device, &job, &plan);
-        vec![(job, plan, started.elapsed(), result)]
-    } else {
-        // `plan_wave` assigns strictly increasing shard indices, so one
-        // pass over the shards pairs each job with a disjoint
-        // `&mut PimDevice`.
-        let mut jobs = jobs.into_iter().peekable();
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (i, device) in shards.iter_mut().enumerate() {
-                if jobs.peek().map(|(j, _)| j.shard) == Some(i) {
-                    let (job, plan) = jobs.next().expect("peeked");
-                    handles.push(s.spawn(move || {
-                        let started = Instant::now();
-                        let result = run_job(device, &job, &plan);
-                        (job, plan, started.elapsed(), result)
-                    }));
-                }
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        })
-    };
-
     let mut wave_wall = 0;
     let mut first_error = None;
-    for (job, plan, execute_latency, result) in ran {
+    for (job, plan) in jobs {
+        let started = Instant::now();
+        let result = run_job(&mut shards[job.shard], &job, &plan);
+        let execute_latency = started.elapsed();
         let WaveJob {
             shard,
             group,

@@ -8,10 +8,10 @@
 
 use super::error::ClusterError;
 use super::health::HealthMonitor;
-use super::outcome::{ClusterOutcome, FailedRequest, TicketResult};
+use super::outcome::{ClusterOutcome, FailedRequest, OutputSlice, TicketResult};
 use super::queue::{group_into, group_partitioned, Group, Pending, PendingPartitioned, Ticket};
 use super::scheduler::{self, AxisPolicy, PackingKnobs};
-use crate::compiler::{PartitionedProgram, RouteSource};
+use crate::compiler::PartitionedProgram;
 use crate::device::{Axis, CompiledProgram, PimDevice, ProgramCache};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -293,16 +293,18 @@ impl ClusterCore {
     /// Serves one partitioned group: every request of one
     /// [`PartitionedProgram`], executed as one wave chain.
     ///
-    /// Level by level, each sub-program becomes an ordinary scheduler
-    /// group whose per-request inputs are assembled host-side from the
-    /// original submission (primary inputs) and the exported outputs of
-    /// already-executed parts (cut signals). Within a level the parts are
-    /// independent, so their groups share one `run_waves` call and pack
-    /// together exactly like unrelated ordinary traffic. Sub-requests ride
-    /// on synthetic tickets (`part_index * n_requests + request_index`)
-    /// that never leave this function; the caller-visible outcome gets one
-    /// merged [`TicketResult`] per original request, anchored at the
-    /// placement of its last sub-program.
+    /// Each request owns one row of a request-major signal table laid out
+    /// by the compiler: its primary inputs, then every part's outputs at
+    /// fixed slots. Level by level, each sub-program becomes an ordinary
+    /// scheduler group whose per-request inputs are gathered from that
+    /// row, and every sub-result's outputs are copied back into it.
+    /// Within a level the parts are independent, so their groups share one
+    /// `run_waves` call and pack together exactly like unrelated ordinary
+    /// traffic. Sub-requests ride on synthetic tickets
+    /// (`part_index * n_requests + request_index`) that never leave this
+    /// function; the caller-visible outcome gets one merged
+    /// [`TicketResult`] per original request, anchored at the placement of
+    /// its last sub-program.
     fn run_partitioned_group(
         &mut self,
         program: Arc<PartitionedProgram>,
@@ -323,9 +325,11 @@ impl ClusterCore {
         }
 
         let nreq = requests.len();
-        // Exported outputs of every executed part, per request.
-        let mut part_outputs: Vec<Vec<Vec<bool>>> =
-            vec![vec![Vec::new(); nreq]; program.num_parts()];
+        let width = program.signal_width();
+        let mut signals: Vec<bool> = vec![false; nreq * width];
+        for (ri, (_, _, inputs)) in requests.iter().enumerate() {
+            signals[ri * width..][..inputs.len()].copy_from_slice(inputs);
+        }
         let mut anchors: Vec<Option<Anchor>> = (0..nreq).map(|_| None).collect();
         // Requests with a dead-lettered sub-program: the whole request
         // fails (a partial circuit has no meaning), later levels skip it,
@@ -346,17 +350,9 @@ impl ClusterCore {
                         .iter()
                         .enumerate()
                         .filter(|(ri, _)| failed_req[*ri].is_none())
-                        .map(|(ri, (_, submitted_at, inputs))| {
-                            let local: Vec<bool> = part
-                                .inputs()
-                                .iter()
-                                .map(|&route| match route {
-                                    RouteSource::Host(i) => inputs[i],
-                                    RouteSource::Part { part, output } => {
-                                        part_outputs[part][ri][output]
-                                    }
-                                })
-                                .collect();
+                        .map(|(ri, (_, submitted_at, _))| {
+                            let row = &signals[ri * width..(ri + 1) * width];
+                            let local = part.input_slots().iter().map(|&s| row[s]).collect();
                             let synthetic = Ticket((pi * nreq + ri) as u64);
                             (synthetic, *submitted_at, local)
                         })
@@ -399,7 +395,8 @@ impl ClusterCore {
                         attempt_latencies: r.attempt_latencies,
                     });
                 }
-                part_outputs[pi][ri] = r.outputs.to_vec();
+                signals[ri * width..][program.parts()[pi].output_slots()]
+                    .copy_from_slice(&r.outputs);
             }
             // A dead-lettered sub-request fails its whole request — the
             // synthetic failure is translated to the original ticket (and
@@ -413,7 +410,16 @@ impl ClusterCore {
             ran?;
         }
 
-        for (ri, (ticket, submitted_at, inputs)) in requests.iter().enumerate() {
+        // Every merged result slices one buffer of primary outputs,
+        // gathered from the signal rows.
+        let nout = program.num_outputs();
+        let merged: Arc<[bool]> = (0..nreq)
+            .flat_map(|ri| {
+                let row = &signals[ri * width..(ri + 1) * width];
+                program.output_slots().iter().map(move |&s| row[s])
+            })
+            .collect();
+        for (ri, (ticket, submitted_at, _)) in requests.iter().enumerate() {
             if let Some(attempts) = failed_req[ri] {
                 outcome.failed.push(FailedRequest {
                     ticket: *ticket,
@@ -421,14 +427,6 @@ impl ClusterCore {
                 });
                 continue;
             }
-            let outputs: Vec<bool> = program
-                .outputs()
-                .iter()
-                .map(|&route| match route {
-                    RouteSource::Host(i) => inputs[i],
-                    RouteSource::Part { part, output } => part_outputs[part][ri][output],
-                })
-                .collect();
             // A gate-free partition (outputs pass straight through) never
             // dispatched anything; anchor such a result at rest.
             let anchor = anchors[ri].take().unwrap_or(Anchor {
@@ -449,7 +447,7 @@ impl ClusterCore {
                 axis: anchor.axis,
                 line: anchor.line,
                 offset: anchor.offset,
-                outputs: outputs.into(),
+                outputs: OutputSlice::new(Arc::clone(&merged), ri * nout, nout),
                 attempts: attempts_max[ri],
                 queue_latency: anchor.queue_latency,
                 execute_latency: anchor.execute_latency,

@@ -48,8 +48,8 @@ pub(crate) enum Command {
 /// The worker loop. Runs until a [`Command::Close`] arrives or every
 /// sender is gone, flushes whatever is still pending on the way out, and
 /// marks the board closed so waiters never hang. A panic anywhere in the
-/// loop (a shard thread dying, a placement invariant breaking) poisons
-/// the board instead: every current and future waiter gets
+/// loop (a shard's fault hook panicking, a placement invariant breaking)
+/// poisons the board instead: every current and future waiter gets
 /// [`ClusterError::WorkerPoisoned`](super::ClusterError::WorkerPoisoned).
 pub(crate) fn run(
     mut core: ClusterCore,

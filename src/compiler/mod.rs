@@ -85,6 +85,11 @@ pub struct SubProgram {
     program: CompiledProgram,
     level: usize,
     inputs: Vec<RouteSource>,
+    /// `inputs` precompiled to slots of the request's signal row.
+    input_slots: Vec<usize>,
+    /// Signal-row slot of this part's first output; its outputs fill the
+    /// following `program.num_outputs()` slots.
+    output_base: usize,
 }
 
 impl SubProgram {
@@ -103,6 +108,16 @@ impl SubProgram {
     pub fn inputs(&self) -> &[RouteSource] {
         &self.inputs
     }
+
+    /// The signal-row slot each input is gathered from, in input order.
+    pub(crate) fn input_slots(&self) -> &[usize] {
+        &self.input_slots
+    }
+
+    /// The signal-row slots this part's outputs are stored to.
+    pub(crate) fn output_slots(&self) -> std::ops::Range<usize> {
+        self.output_base..self.output_base + self.program.num_outputs()
+    }
 }
 
 /// An oversized NOR netlist compiled as a DAG of line-sized sub-programs
@@ -118,11 +133,20 @@ impl SubProgram {
 /// matching `submit_partitioned`. The scheduler executes the parts level
 /// by level, reading cut signals back after each wave and re-loading them
 /// into the dependent parts' input cells.
+///
+/// Routes are precompiled into one flat **signal row** per request: the
+/// primary inputs first, then each part's outputs at a fixed offset, in
+/// part order. Every input route and output route is a slot of that row,
+/// so serving a request is gathers and copies, never a route match.
 #[derive(Debug)]
 pub struct PartitionedProgram {
     partition: NetlistPartition,
     parts: Vec<SubProgram>,
     outputs: Vec<RouteSource>,
+    /// `outputs` precompiled to signal-row slots.
+    output_slots: Vec<usize>,
+    /// Length of one request's signal row.
+    signal_width: usize,
     num_inputs: usize,
     max_row_size: usize,
     fingerprint: u64,
@@ -165,6 +189,18 @@ impl PartitionedProgram {
     /// Where each primary output comes from, in output order.
     pub fn outputs(&self) -> &[RouteSource] {
         &self.outputs
+    }
+
+    /// The signal-row slot each primary output is read from, in output
+    /// order.
+    pub(crate) fn output_slots(&self) -> &[usize] {
+        &self.output_slots
+    }
+
+    /// Length of one request's signal row: the primary inputs plus every
+    /// part's outputs.
+    pub(crate) fn signal_width(&self) -> usize {
+        self.signal_width
     }
 
     /// Total cut signals routed host-side per request (each is one
@@ -237,12 +273,13 @@ pub(crate) fn compile_partitioned(
     loop {
         let partition = partition_nor(netlist, budget).expect("positive budget always partitions");
         match compile_parts(cache, &partition, row_size) {
-            Ok(parts) => {
-                let outputs = partition
+            Ok((parts, signal_width)) => {
+                let outputs: Vec<RouteSource> = partition
                     .outputs()
                     .iter()
                     .map(|&s| route_of(&partition, s))
                     .collect();
+                let output_slots = outputs.iter().map(|&r| slot_of(&parts, r)).collect();
                 let max_row_size = parts
                     .iter()
                     .map(|p: &SubProgram| p.program.program().row_size)
@@ -255,6 +292,8 @@ pub(crate) fn compile_partitioned(
                 return Ok(PartitionedProgram {
                     num_inputs: partition.num_inputs(),
                     outputs,
+                    output_slots,
+                    signal_width,
                     parts,
                     max_row_size,
                     fingerprint: h.finish(),
@@ -273,28 +312,43 @@ pub(crate) fn compile_partitioned(
     }
 }
 
+/// The signal-row slot `route` names, given the parts laid out so far
+/// (routes only read parts of strictly lower index).
+fn slot_of(parts: &[SubProgram], route: RouteSource) -> usize {
+    match route {
+        RouteSource::Host(i) => i,
+        RouteSource::Part { part, output } => parts[part].output_base + output,
+    }
+}
+
+/// Compiles every part and lays out the signal row: returns the parts,
+/// their routes already resolved to slots, and the row's width.
 fn compile_parts(
     cache: &mut ProgramCache,
     partition: &NetlistPartition,
     row_size: usize,
-) -> Result<Vec<SubProgram>, MapError> {
-    partition
-        .parts()
-        .iter()
-        .map(|sub| {
-            let program = cache.compile_packed(sub.netlist(), row_size)?;
-            let inputs = sub
-                .inputs()
-                .iter()
-                .map(|&s| route_of(partition, s))
-                .collect();
-            Ok(SubProgram {
-                program,
-                level: sub.level(),
-                inputs,
-            })
-        })
-        .collect()
+) -> Result<(Vec<SubProgram>, usize), MapError> {
+    let mut parts: Vec<SubProgram> = Vec::with_capacity(partition.parts().len());
+    let mut width = partition.num_inputs();
+    for sub in partition.parts() {
+        let program = cache.compile_packed(sub.netlist(), row_size)?;
+        let inputs: Vec<RouteSource> = sub
+            .inputs()
+            .iter()
+            .map(|&s| route_of(partition, s))
+            .collect();
+        let input_slots = inputs.iter().map(|&r| slot_of(&parts, r)).collect();
+        let output_base = width;
+        width += program.num_outputs();
+        parts.push(SubProgram {
+            program,
+            level: sub.level(),
+            inputs,
+            input_slots,
+            output_base,
+        });
+    }
+    Ok((parts, width))
 }
 
 #[cfg(test)]
@@ -337,6 +391,31 @@ mod tests {
                 assert!(output < p.parts()[src].program().num_outputs());
             }
         }
+    }
+
+    #[test]
+    fn signal_slots_resolve_every_route() {
+        let nor = generators::mul(6).to_nor();
+        let p = compile(&nor, 30);
+        // Part outputs tile the row after the primary inputs, in part order.
+        let mut next = p.num_inputs();
+        for part in p.parts() {
+            let outs = part.output_slots();
+            assert_eq!(outs.start, next);
+            next = outs.end;
+        }
+        assert_eq!(next, p.signal_width());
+        let slot = |route: RouteSource| match route {
+            RouteSource::Host(i) => i,
+            RouteSource::Part { part, output } => p.parts()[part].output_slots().start + output,
+        };
+        for part in p.parts() {
+            let want: Vec<usize> = part.inputs().iter().map(|&r| slot(r)).collect();
+            assert_eq!(part.input_slots(), want.as_slice());
+        }
+        let want: Vec<usize> = p.outputs().iter().map(|&r| slot(r)).collect();
+        assert_eq!(p.output_slots(), want.as_slice());
+        assert!(p.output_slots().iter().all(|&s| s < p.signal_width()));
     }
 
     #[test]

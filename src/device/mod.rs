@@ -11,7 +11,8 @@
 //!    requests co-pack per line);
 //! 2. [`PimDevice::run_batch`] packs up to `n` requests onto distinct rows
 //!    (without clobbering the others), performs **one** pre-execution ECC
-//!    check per *touched block-row* — not per request — and then executes
+//!    check per *touched block-row* — not per request — before it writes
+//!    the inputs, and then executes
 //!    each program step **exactly once** for the whole batch via
 //!    row-parallel MAGIC. Placement is two-dimensional: a
 //!    [`PlacementPlan`] (see [`placement`]) also runs batches
@@ -158,14 +159,18 @@ pub enum CoveragePolicy {
     Uncovered(Vec<(usize, usize)>),
 }
 
-/// Hook invoked after a batch's inputs are loaded and before its
-/// pre-execution check — the window soft errors strike in; fault-injection
-/// campaigns register one through
-/// [`PimDeviceBuilder::on_batch_loaded`].
+/// Hook invoked once per batch, before its pre-execution check — the
+/// window soft errors strike in; fault-injection campaigns register one
+/// through [`PimDeviceBuilder::on_batch_loaded`].
+///
+/// A batch runs hook → pre-check → input load → replay. The pre-check
+/// therefore sees every flip the hook left on the batch's block-lines
+/// before the load's word-diff ECC update could fold it into the check
+/// bits.
 ///
 /// The hook is `Send` so that a device carrying one can still serve as a
-/// shard of a [`PimCluster`](crate::cluster::PimCluster), whose scheduler
-/// dispatches shards on scoped threads.
+/// shard of a spawned [`ClusterHandle`](crate::cluster::ClusterHandle),
+/// whose pool lives on the service's worker thread.
 pub type BatchFaultHook = Box<dyn FnMut(&mut ProtectedMemory) + Send>;
 
 /// Configures and builds a [`PimDevice`].
@@ -255,8 +260,10 @@ impl PimDeviceBuilder {
         self
     }
 
-    /// Registers a fault-injection hook, run once per batch after the
-    /// inputs are written and before the pre-execution check.
+    /// Registers a fault-injection hook, run once per batch before the
+    /// pre-execution check and the input load (see [`BatchFaultHook`]).
+    /// The two-call [`PimDevice::load_request`] → `execute_*` flow never
+    /// runs it.
     pub fn on_batch_loaded(
         mut self,
         hook: impl FnMut(&mut ProtectedMemory) + Send + 'static,
@@ -711,6 +718,9 @@ impl PimDevice {
     /// Most callers want [`PimDevice::run_batch`], which also loads the
     /// inputs; this lower-level entry point exists for flows that separate
     /// loading from execution (e.g. fault-injection between the two).
+    /// This two-call flow checks *after* the load, so a flip already on a
+    /// loaded line can be folded into the check bits by the load's
+    /// word-diff update; `run_batch` and `run_plan` check first.
     ///
     /// # Errors
     ///
@@ -722,7 +732,7 @@ impl PimDevice {
         rows: &[usize],
     ) -> Result<BatchOutcome, DeviceError> {
         let plan = self.rows_plan(program, rows)?;
-        self.execute_plan_checked(program, &plan)
+        self.execute_plan_checked(program, &plan, &[])
     }
 
     /// Executes `program` across the already loaded slots of `plan`: one
@@ -744,7 +754,7 @@ impl PimDevice {
         plan: &PlacementPlan,
     ) -> Result<BatchOutcome, DeviceError> {
         self.check_plan(program, plan)?;
-        self.execute_plan_checked(program, plan)
+        self.execute_plan_checked(program, plan, &[])
     }
 
     /// [`PimDevice::execute_plan`] after validation — the shared tail of
@@ -755,6 +765,7 @@ impl PimDevice {
         &mut self,
         program: &CompiledProgram,
         plan: &PlacementPlan,
+        loads: &[(&PlacementPlan, &[Vec<bool>])],
     ) -> Result<BatchOutcome, DeviceError> {
         let MultiBatchOutcome {
             mut parts,
@@ -762,7 +773,7 @@ impl PimDevice {
             stats,
             gate_evals,
             uncorrectable_input,
-        } = self.execute_parts_checked(&[(program, plan)])?;
+        } = self.execute_parts_checked(&[(program, plan)], loads)?;
         Ok(BatchOutcome {
             outputs: parts.pop().expect("single-part execution yields one arena"),
             placement: plan.clone(),
@@ -776,14 +787,22 @@ impl PimDevice {
     /// The shared execution tail for one wave of one or more co-located
     /// program parts (each `(program, plan)` pre-validated; plans pairwise
     /// line-disjoint when more than one): **one** ECC pre-check sweep over
-    /// the union of touched block-lines, each part's steps replayed once
-    /// per occupied offset, one stuck-gated post-check, one scrub/strike
-    /// pass for the suspect lines, then per-part arena readback. Checks
-    /// scale with touched block-lines, not parts — co-residency is free at
-    /// the ECC layer.
+    /// the union of touched block-lines, then the input `loads`, each
+    /// part's steps replayed once per occupied offset, one stuck-gated
+    /// post-check, one scrub/strike pass for the suspect lines, then
+    /// per-part arena readback. Checks scale with touched block-lines, not
+    /// parts — co-residency is free at the ECC layer.
+    ///
+    /// The pre-check runs *before* the load: the word-diff load computes
+    /// check-bit deltas against the cells' physical values, so a flip
+    /// still sitting on a line would be folded into the check bits, and a
+    /// later check would "correct" the fresh input bit instead. Empty
+    /// `loads` is the two-call flow ([`PimDevice::load_request`] then
+    /// `execute_*`), whose inputs are already in place.
     fn execute_parts_checked(
         &mut self,
         parts: &[(&CompiledProgram, &PlacementPlan)],
+        loads: &[(&PlacementPlan, &[Vec<bool>])],
     ) -> Result<MultiBatchOutcome, DeviceError> {
         let stats_before = *self.memory.stats();
         let axis = parts[0].1.axis();
@@ -832,6 +851,9 @@ impl PimDevice {
                     input_check += line_check;
                 }
             }
+        }
+        if !loads.is_empty() {
+            self.load_inputs(axis, loads)?;
         }
 
         // Co-packed offsets replay the step sequence once per offset: a
@@ -1130,10 +1152,10 @@ impl PimDevice {
     }
 
     /// Serves a batch under an explicit [`PlacementPlan`]: request `i`
-    /// occupies `plan.slots()[i]` on the plan's axis. Loads every touched
-    /// line with **one** driven write (co-packed requests share it), runs
-    /// the fault hook, then checks and executes as
-    /// [`PimDevice::execute_plan`]. Lines not in the plan are never
+    /// occupies `plan.slots()[i]` on the plan's axis. Runs the fault hook,
+    /// pre-checks the touched block-lines, loads every touched line with
+    /// **one** driven write (co-packed requests share it), then executes
+    /// as [`PimDevice::execute_plan`]. Lines not in the plan are never
     /// written.
     ///
     /// # Errors
@@ -1169,15 +1191,10 @@ impl PimDevice {
                 want,
             });
         }
-        let stats_before = *self.memory.stats();
-        self.load_inputs(plan.axis(), &[(plan, requests)])?;
         if let Some(hook) = self.fault_hook.as_mut() {
             hook(&mut self.memory);
         }
-        let mut outcome = self.execute_plan_checked(program, plan)?;
-        // Fold the load phase into the batch's accounting.
-        outcome.stats = *self.memory.stats() - stats_before;
-        Ok(outcome)
+        self.execute_plan_checked(program, plan, &[(plan, requests)])
     }
 
     /// Serves one **multi-program wave**: part `p`'s requests execute
@@ -1228,26 +1245,22 @@ impl PimDevice {
                 });
             }
         }
-        let stats_before = *self.memory.stats();
         let loads: Vec<(&PlacementPlan, &[Vec<bool>])> = plan
             .parts()
             .iter()
             .zip(parts)
             .map(|(sub, part)| (sub, part.requests))
             .collect();
-        self.load_inputs(plan.axis(), &loads)?;
-        if let Some(hook) = self.fault_hook.as_mut() {
-            hook(&mut self.memory);
-        }
         let execs: Vec<(&CompiledProgram, &PlacementPlan)> = plan
             .parts()
             .iter()
             .zip(parts)
             .map(|(sub, part)| (part.program, sub))
             .collect();
-        let mut outcome = self.execute_parts_checked(&execs)?;
-        outcome.stats = *self.memory.stats() - stats_before;
-        Ok(outcome)
+        if let Some(hook) = self.fault_hook.as_mut() {
+            hook(&mut self.memory);
+        }
+        self.execute_parts_checked(&execs, &loads)
     }
 
     /// Loads every part's requests into its planned slots, merging all

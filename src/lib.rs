@@ -14,7 +14,8 @@
 //!   traffic behind `submit`/`flush`, packs it by program fingerprint and
 //!   dispatches two-dimensionally planned batches (rows *or* columns,
 //!   narrow programs co-packed several per line) across a pool of shards
-//!   in parallel. [`PimClusterBuilder::spawn`](cluster::PimClusterBuilder::spawn)
+//!   — in parallel on the model clock, one after another on the flushing
+//!   thread. [`PimClusterBuilder::spawn`](cluster::PimClusterBuilder::spawn)
 //!   runs the same pool as a **service**: a channel-fed worker thread
 //!   auto-flushes on a pending threshold or a max-latency deadline, and
 //!   cloneable [`ClusterHandle`](cluster::ClusterHandle)s submit without
@@ -39,7 +40,8 @@
 //!
 //! Build a cluster, compile a function once, submit requests as they
 //! arrive, flush — the queue packs same-program traffic into full-width
-//! row batches and runs the shards in parallel:
+//! row batches, one per shard per wave; the shards tick in parallel on the
+//! model clock:
 //!
 //! ```
 //! use pimecc::prelude::*;

@@ -5,6 +5,7 @@
 
 use pimecc::cluster::LatencyStats;
 use pimecc::core::{CampaignConfig, FaultCampaign};
+use pimecc::netlist::generators::{mul, to_bits};
 use pimecc::netlist::{Netlist, NetlistBuilder};
 use pimecc::prelude::*;
 use proptest::prelude::*;
@@ -452,16 +453,27 @@ impl SplitMix {
     }
 }
 
+/// The 12 input bits of one partitioned `mul(6)` request.
+fn mul6_inputs(x: u128, y: u128) -> Vec<bool> {
+    let mut v = to_bits(x, 6);
+    v.extend(to_bits(y, 6));
+    v
+}
+
 /// One seeded chaos round against both front-ends: a random
 /// [`FaultCampaign`] (transient flips + permanent stuck-at cells) strikes
-/// shard 0 on every batch load while a seed-derived xor/mux mix flows
-/// through. The invariant under test is the PR's contract: **every ticket
-/// either resolves bit-exact against the fault-free reference or surfaces
-/// an explicit retry-exhausted error** — never silently wrong outputs,
-/// never a vanished ticket.
+/// shard 0 on every batch while a seed-derived xor/mux mix flows through,
+/// followed in the same flush by a few partitioned `mul(6)` products
+/// (several dependency levels of sub-program waves, host-routed cut
+/// signals, retries and dead letters per sub-request). The invariant
+/// under test is the cluster's contract: **every ticket either resolves
+/// bit-exact against the fault-free reference (the `u128` product for
+/// `mul(6)`) or surfaces an explicit retry-exhausted error, exactly once**
+/// — never silently wrong outputs, never a vanished ticket.
 fn chaos_round(seed: u64) {
     let (xor_nor, xor_nl) = xor_circuit();
     let (mux_nor, mux_nl) = mux_circuit();
+    let mul_nor = mul(6).to_nor();
     let mut rng = SplitMix(seed);
     let nreq = 24 + (rng.next() % 72) as usize;
     let choices: Vec<(bool, u32)> = (0..nreq)
@@ -470,6 +482,13 @@ fn chaos_round(seed: u64) {
             (r & 1 == 1, (r >> 1) as u32 % 8)
         })
         .collect();
+    let products: Vec<(u128, u128)> = (0..4 + rng.next() % 5)
+        .map(|_| {
+            let r = rng.next();
+            (u128::from(r & 63), u128::from(r >> 6 & 63))
+        })
+        .collect();
+    let total = nreq + products.len();
     let expected = |is_mux: bool, v: u32| -> Vec<bool> {
         if is_mux {
             mux_nl.eval(&[v & 1 != 0, v & 2 != 0, v & 4 != 0])
@@ -497,14 +516,46 @@ fn chaos_round(seed: u64) {
             (cluster.submit(p, inputs).expect("submits"), is_mux, v)
         })
         .collect();
+    let pm = cluster.compile_partitioned(&mul_nor).expect("partitions");
+    let mul_tickets: Vec<_> = products
+        .iter()
+        .map(|&(x, y)| {
+            let t = cluster
+                .submit_partitioned(&pm, mul6_inputs(x, y))
+                .expect("submits");
+            (t, x, y)
+        })
+        .collect();
     let outcome = cluster.flush().expect("flushes");
     let failed: std::collections::HashSet<u64> =
         outcome.failed.iter().map(|f| f.ticket.id()).collect();
     assert_eq!(
         outcome.results.len() + failed.len(),
-        nreq,
+        total,
         "seed {seed:#x}: every ticket resolves exactly once — outputs or dead letter"
     );
+    assert!(
+        outcome
+            .results
+            .iter()
+            .all(|r| !failed.contains(&r.ticket.id())),
+        "seed {seed:#x}: a dead-lettered ticket also resolved with outputs"
+    );
+    for (t, x, y) in &mul_tickets {
+        match outcome.outputs_for(*t) {
+            Some(outs) => assert_eq!(
+                outs,
+                to_bits(x * y, 12).as_slice(),
+                "seed {seed:#x}: partitioned ticket #{} resolved {x} * {y} wrong",
+                t.id()
+            ),
+            None => assert!(
+                failed.contains(&t.id()),
+                "seed {seed:#x}: partitioned ticket #{} vanished without an explicit error",
+                t.id()
+            ),
+        }
+    }
     for (t, is_mux, v) in &tickets {
         match outcome.outputs_for(*t) {
             Some(outs) => assert_eq!(
@@ -534,6 +585,16 @@ fn chaos_round(seed: u64) {
             (handle.submit(p, inputs).expect("submits"), is_mux, v)
         })
         .collect();
+    let pm = handle.compile_partitioned(&mul_nor).expect("partitions");
+    let mul_tickets: Vec<_> = products
+        .iter()
+        .map(|&(x, y)| {
+            let t = handle
+                .submit_partitioned(&pm, mul6_inputs(x, y))
+                .expect("submits");
+            (t, x, y)
+        })
+        .collect();
     for (t, is_mux, v) in &tickets {
         match t.wait() {
             Ok(r) => assert_eq!(
@@ -545,6 +606,23 @@ fn chaos_round(seed: u64) {
             Err(ClusterError::RequestFailed { .. }) => {}
             Err(e) => panic!("seed {seed:#x}: unexpected error: {e}"),
         }
+    }
+    for (t, x, y) in &mul_tickets {
+        match t.wait() {
+            Ok(r) => assert_eq!(
+                r.outputs,
+                to_bits(x * y, 12),
+                "seed {seed:#x}: partitioned service ticket #{} resolved {x} * {y} wrong",
+                t.id()
+            ),
+            Err(ClusterError::RequestFailed { .. }) => {}
+            Err(e) => panic!("seed {seed:#x}: unexpected error: {e}"),
+        }
+        assert!(
+            matches!(t.try_wait(), Err(ClusterError::TicketUnserved { .. })),
+            "seed {seed:#x}: partitioned service ticket #{} resolved twice",
+            t.id()
+        );
     }
     handle.close().expect("closes");
 }
@@ -561,6 +639,15 @@ fn chaos_regression_seed_dac21() {
 #[test]
 fn chaos_regression_seed_0ecc() {
     chaos_round(0x0ECC);
+}
+
+// Pins the check-before-load order: a device that loads a batch's inputs
+// before pre-checking its lines lets the word-diff load fold this
+// campaign's flips into the check bits, the pre-check then "corrects" a
+// fresh input bit, and the partitioned product 61 * 48 comes back wrong.
+#[test]
+fn chaos_regression_partitioned_seed_2f() {
+    chaos_round(0x2F);
 }
 
 proptest! {
