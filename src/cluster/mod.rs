@@ -1014,9 +1014,9 @@ impl PimCluster {
     /// its [`Ticket`] — the partitioned twin of [`PimCluster::submit`].
     /// The next flush serves it as dependency-ordered sub-program waves
     /// (cut signals routed host-side between levels) and lands **one**
-    /// merged [`TicketResult`] carrying the program's final outputs;
-    /// partitioned and ordinary traffic share the queue, the flush and
-    /// the outcome.
+    /// merged [`TicketResult`] carrying the program's final outputs (its
+    /// latency fields are documented there); partitioned and ordinary
+    /// traffic share the queue, the flush and the outcome.
     ///
     /// # Errors
     ///

@@ -107,6 +107,16 @@ impl PartialEq<OutputSlice> for Vec<bool> {
 /// latency clocks, which vary run to run: two deterministic replays of the
 /// same submission order compare equal even though their wall-clock
 /// timings differ.
+///
+/// A *partitioned* request (see
+/// [`PimCluster::submit_partitioned`](crate::cluster::PimCluster::submit_partitioned))
+/// runs as many sub-programs but resolves to one merged result: placed at
+/// its last sub-program, with `attempts` the worst sub-program's count,
+/// `attempt_latencies[k]` the sum over its sub-programs of their `k`-th
+/// attempt, `execute_latency` their total, and `queue_latency` ending at
+/// the dispatch of its first sub-program. The contract below holds for
+/// both kinds: `attempt_latencies` has `attempts` entries and sums to
+/// `execute_latency`.
 #[derive(Debug, Clone)]
 pub struct TicketResult {
     /// The submission this result answers.
@@ -128,18 +138,24 @@ pub struct TicketResult {
     pub outputs: OutputSlice,
     /// Execution attempts this result took: `1` for the common untouched
     /// request, `1 + k` when `k` waves suppressed it over uncorrectable
-    /// input verdicts before a clean wave served it.
+    /// input verdicts before a clean wave served it. A partitioned
+    /// request reports its worst sub-program's count.
     pub attempts: u32,
     /// Host wall-clock time the request sat in the queue, **cumulative
     /// across attempts**: original submission to the dispatch of the wave
-    /// that finally served it. Excluded from equality.
+    /// that finally served it. A partitioned request counts from
+    /// submission to the dispatch of its first sub-program (the waits
+    /// between its dependency levels are in neither clock). Excluded from
+    /// equality.
     pub queue_latency: Duration,
     /// Host wall-clock execute time, **cumulative across attempts** (the
     /// sum of `attempt_latencies`) — what the caller actually waited on
-    /// shards, not just the final clean batch. Excluded from equality.
+    /// shards, not just the final clean batch; for a partitioned request,
+    /// summed over every sub-program as well. Excluded from equality.
     pub execute_latency: Duration,
     /// Per-attempt execute latency, oldest first (`attempts` entries).
-    /// Excluded from equality.
+    /// For a partitioned request, entry `k` sums the `k`-th attempt of
+    /// every sub-program that made one. Excluded from equality.
     pub attempt_latencies: Vec<Duration>,
 }
 

@@ -2,10 +2,11 @@
 //! pack-by-fingerprint grouping the scheduler consumes.
 
 use crate::compiler::PartitionedProgram;
-use crate::device::CompiledProgram;
+use crate::device::{CompiledProgram, InputRows, PlacementPlan, WavePart};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Receipt for one submitted request, redeemed against the
 /// [`ClusterOutcome`](crate::cluster::ClusterOutcome) of the flush that
@@ -96,38 +97,140 @@ pub(crate) struct PendingPartitioned {
     pub(crate) inputs: Vec<bool>,
 }
 
+/// The suppressed attempts behind a re-queued row.
+#[derive(Debug)]
+pub(crate) struct Retry {
+    /// Row of the request's first attempt in its group.
+    pub(crate) origin: usize,
+    /// Dispatch instant of the request's first attempt.
+    pub(crate) first_dispatch: Instant,
+    /// Execute latency of each suppressed attempt, oldest first.
+    pub(crate) latencies: Vec<Duration>,
+}
+
 /// All pending requests of one program, in submission order — the unit the
-/// scheduler carves row batches from.
+/// scheduler carves batches from.
+///
+/// Layout: row `i` is `tickets[i]` plus the `program.num_inputs()` bits
+/// at `inputs[i * w..(i + 1) * w]`, one request-major buffer for the whole
+/// group. The scheduler hands out index ranges ([`Group::take`]), so no
+/// request owns a `Vec`. First attempts come first; a suppressed request
+/// re-enters by copying its row to the end ([`Group::requeue`]), so the
+/// last `retries.len()` rows are re-dispatches, `retries[k]` holding the
+/// history of the `k`-th.
 #[derive(Debug)]
 pub(crate) struct Group {
     pub(crate) program: CompiledProgram,
-    pub(crate) requests: Vec<(Ticket, Instant, Vec<bool>)>,
-    /// Next request index the scheduler has not yet dispatched.
-    pub(crate) cursor: usize,
+    /// Each row's ticket and submission instant.
+    pub(crate) tickets: Vec<(Ticket, Instant)>,
+    inputs: Vec<bool>,
+    retries: Vec<Retry>,
+    /// Next row the scheduler has not yet dispatched.
+    cursor: usize,
 }
 
 impl Group {
-    pub(crate) fn remaining(&self) -> usize {
-        self.requests.len() - self.cursor
+    pub(crate) fn new(program: CompiledProgram) -> Self {
+        Group {
+            program,
+            tickets: Vec::new(),
+            inputs: Vec::new(),
+            retries: Vec::new(),
+            cursor: 0,
+        }
     }
 
-    /// Hands the scheduler the next `n` undispatched requests, advancing
-    /// the cursor. The cursor never revisits a request, so the inputs move
-    /// out instead of cloning.
+    /// Empties the group and points it at `program`, keeping the buffers'
+    /// capacity.
+    pub(crate) fn reset(&mut self, program: CompiledProgram) {
+        self.program = program;
+        self.tickets.clear();
+        self.inputs.clear();
+        self.retries.clear();
+        self.cursor = 0;
+    }
+
+    /// Appends a first-attempt row.
+    pub(crate) fn push(
+        &mut self,
+        ticket: Ticket,
+        submitted_at: Instant,
+        inputs: impl IntoIterator<Item = bool>,
+    ) {
+        debug_assert!(self.retries.is_empty(), "first attempts precede requeues");
+        self.tickets.push((ticket, submitted_at));
+        self.inputs.extend(inputs);
+        debug_assert_eq!(
+            self.inputs.len(),
+            self.tickets.len() * self.program.num_inputs()
+        );
+    }
+
+    pub(crate) fn remaining(&self) -> usize {
+        self.tickets.len() - self.cursor
+    }
+
+    /// Hands the scheduler the next `n` undispatched rows, advancing the
+    /// cursor.
     ///
     /// # Panics
     ///
     /// Panics if `n > self.remaining()` — the scheduler sizes its chunks
     /// from `remaining`.
-    pub(crate) fn take(&mut self, n: usize) -> (Vec<(Ticket, Instant)>, Vec<Vec<bool>>) {
-        let chunk = &mut self.requests[self.cursor..self.cursor + n];
-        let tickets = chunk.iter().map(|&(t, at, _)| (t, at)).collect();
-        let inputs = chunk
-            .iter_mut()
-            .map(|(_, _, i)| std::mem::take(i))
-            .collect();
+    pub(crate) fn take(&mut self, n: usize) -> Range<usize> {
+        assert!(n <= self.remaining(), "take past the group's rows");
         self.cursor += n;
-        (tickets, inputs)
+        self.cursor - n..self.cursor
+    }
+
+    /// One wave part of this group: the rows of `runs`, in order, on the
+    /// slots of `plan`.
+    pub(crate) fn part<'a>(
+        &'a self,
+        plan: &'a PlacementPlan,
+        runs: &'a [Range<usize>],
+    ) -> WavePart<'a> {
+        WavePart {
+            program: &self.program,
+            plan,
+            inputs: Some(InputRows::Runs {
+                bits: &self.inputs,
+                width: self.program.num_inputs(),
+                runs,
+            }),
+        }
+    }
+
+    /// Rows that are first attempts.
+    fn fresh(&self) -> usize {
+        self.tickets.len() - self.retries.len()
+    }
+
+    /// The suppressed attempts behind `row`; `None` for a first attempt.
+    pub(crate) fn history(&self, row: usize) -> Option<&Retry> {
+        row.checked_sub(self.fresh()).map(|k| &self.retries[k])
+    }
+
+    /// Re-enters `row` at the end of the group after a suppressed attempt
+    /// dispatched at `dispatched_at` that took `latency`: the new row
+    /// copies the inputs and carries the request's history forward.
+    pub(crate) fn requeue(&mut self, row: usize, dispatched_at: Instant, latency: Duration) {
+        let mut retry = match row.checked_sub(self.fresh()) {
+            None => Retry {
+                origin: row,
+                first_dispatch: dispatched_at,
+                latencies: Vec::new(),
+            },
+            Some(k) => Retry {
+                latencies: std::mem::take(&mut self.retries[k].latencies),
+                ..self.retries[k]
+            },
+        };
+        retry.latencies.push(latency);
+        self.retries.push(retry);
+        self.tickets.push(self.tickets[row]);
+        let w = self.program.num_inputs();
+        self.inputs.extend_from_within(row * w..(row + 1) * w);
     }
 }
 
@@ -135,9 +238,10 @@ impl Group {
 /// reusable buffers instead of allocating fresh ones per flush.
 ///
 /// `groups` must arrive empty; `index` is cleared here; `spare` donates
-/// emptied request buffers (popped for new groups, so a steady-state flush
-/// reuses last flush's capacity). `pending` keeps its own capacity for the
-/// next submission burst.
+/// emptied group shells (popped for new groups, so a steady-state flush
+/// reuses last flush's capacity). Each request's inputs are copied into
+/// its group's request-major buffer, and `pending` keeps its own capacity
+/// for the next submission burst.
 ///
 /// Group order is the order each program *first* appeared in the queue and
 /// requests keep submission order inside their group — both properties the
@@ -147,7 +251,7 @@ pub(crate) fn group_into(
     pending: &mut Vec<Pending>,
     groups: &mut Vec<Group>,
     index: &mut HashMap<u64, usize>,
-    spare: &mut Vec<Vec<(Ticket, Instant, Vec<bool>)>>,
+    spare: &mut Vec<Group>,
 ) {
     debug_assert!(groups.is_empty(), "group arena must be drained per flush");
     index.clear();
@@ -161,20 +265,25 @@ pub(crate) fn group_into(
             Some((k, at)) if k == key => at,
             _ => {
                 let at = *index.entry(key).or_insert_with(|| {
-                    groups.push(Group {
-                        program: p.program.clone(),
-                        requests: spare.pop().unwrap_or_default(),
-                        cursor: 0,
-                    });
+                    groups.push(shell(spare, p.program.clone()));
                     groups.len() - 1
                 });
                 last = Some((key, at));
                 at
             }
         };
-        groups[at]
-            .requests
-            .push((p.ticket, p.submitted_at, p.inputs));
+        groups[at].push(p.ticket, p.submitted_at, p.inputs);
+    }
+}
+
+/// An empty group for `program`, reusing a spare shell when there is one.
+pub(crate) fn shell(spare: &mut Vec<Group>, program: CompiledProgram) -> Group {
+    match spare.pop() {
+        Some(mut g) => {
+            g.reset(program);
+            g
+        }
+        None => Group::new(program),
     }
 }
 
@@ -262,12 +371,38 @@ mod tests {
             b.fingerprint(),
             "first-seen program leads"
         );
-        assert_eq!(groups[0].requests.len(), 2);
-        assert_eq!(groups[0].requests[0].0, Ticket(0));
-        assert_eq!(groups[0].requests[1].0, Ticket(2));
-        assert_eq!(groups[1].requests.len(), 1);
-        assert_eq!(groups[1].requests[0].0, Ticket(1));
-        assert_eq!(groups[1].requests[0].2, vec![true, false]);
+        assert_eq!(groups[0].tickets.len(), 2);
+        assert_eq!(groups[0].tickets[0].0, Ticket(0));
+        assert_eq!(groups[0].tickets[1].0, Ticket(2));
+        assert_eq!(
+            groups[0].inputs,
+            vec![true, false, true, false, false, true]
+        );
+        assert_eq!(groups[1].tickets.len(), 1);
+        assert_eq!(groups[1].tickets[0].0, Ticket(1));
+        assert_eq!(groups[1].inputs, vec![true, false]);
         assert_eq!(groups[0].remaining(), 2);
+    }
+
+    #[test]
+    fn a_requeued_row_copies_its_inputs_and_carries_its_history() {
+        let now = Instant::now();
+        let ms = Duration::from_millis;
+        let mut g = Group::new(program(3, false));
+        g.push(Ticket(4), now, [true, false, true]);
+        g.push(Ticket(5), now, [false, true, true]);
+        assert_eq!(g.take(2), 0..2);
+        assert!(g.history(1).is_none(), "first attempts have no history");
+
+        g.requeue(1, now, ms(3));
+        assert_eq!(g.take(g.remaining()), 2..3);
+        assert_eq!(g.tickets[2].0, Ticket(5));
+        assert_eq!(g.inputs[6..9], [false, true, true]);
+        // A second suppression chains back to the request's first row.
+        g.requeue(2, now + ms(9), ms(4));
+        let h = g.history(3).expect("a re-dispatch has history");
+        assert_eq!((h.origin, h.first_dispatch), (1, now));
+        assert_eq!(h.latencies, [ms(3), ms(4)]);
+        assert_eq!(g.inputs[9..12], [false, true, true]);
     }
 }

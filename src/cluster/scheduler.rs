@@ -41,14 +41,13 @@
 //! submissions yield identical placements and results.
 
 use super::error::ClusterError;
-use super::outcome::{ClusterOutcome, FailedRequest, OutputSlice, TicketResult};
+use super::outcome::ClusterOutcome;
 use super::queue::{Group, Ticket};
 use crate::device::{
-    Axis, CompiledProgram, DeviceError, MultiBatchOutcome, MultiPartRequest, MultiProgramPlan,
-    PimDevice, PlacementPlan,
+    Axis, CompiledProgram, DeviceError, MultiBatchOutcome, OutputArena, PimDevice, PlacementPlan,
+    Slot, WavePart,
 };
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// How the cluster orients its dispatch waves on the crossbars.
@@ -124,31 +123,28 @@ impl PackingKnobs {
     }
 }
 
-/// One co-located extra part of a wave job (pass 3): a chunk of a
+/// One co-located extra part of a wave job (pass 3): a run of a
 /// *different* group riding the same shard's wave on its own disjoint
 /// lines.
 struct ExtraPart {
-    /// Index into `groups`, for suppressed-ticket requeue.
+    /// Index into `groups`.
     group: usize,
-    program: CompiledProgram,
-    tickets: Vec<(Ticket, Instant)>,
-    inputs: Vec<Vec<bool>>,
+    /// The group rows the part serves.
+    rows: Range<usize>,
     /// The part's placement, line-disjoint from the job's main plan and
     /// every earlier extra.
     plan: PlacementPlan,
 }
 
-/// One shard's work for one wave: a chunk of one group under a 2D plan,
-/// plus any co-located extra parts pass 3 added.
+/// One shard's work for one wave: rows of one group under a 2D plan, plus
+/// any co-located extra parts pass 3 added.
 struct WaveJob {
     shard: usize,
     /// Index into `groups`, so the densify pass can pull more requests.
     group: usize,
-    program: CompiledProgram,
-    /// Each dispatched ticket with its submission instant (queue-latency
-    /// accounting).
-    tickets: Vec<(Ticket, Instant)>,
-    inputs: Vec<Vec<bool>>,
+    /// The group rows the job serves, in slot order: the spread pass's
+    /// run, then the densify pass's (possibly empty).
+    runs: [Range<usize>; 2],
     /// Lines the spread pass reserved (slots at the wave's fill origin).
     lines: usize,
     /// Retired physical lines of the shard on the wave's axis (ascending)
@@ -162,20 +158,60 @@ struct WaveJob {
     extras: Vec<ExtraPart>,
 }
 
-/// Per-ticket retry bookkeeping, local to one `run_waves` call: a ticket
-/// appears here only while it has at least one suppressed attempt behind
-/// it and has not yet been served or dead-lettered.
-#[derive(Default)]
-struct RetryState {
-    /// Suppressed attempts so far.
-    attempts: u32,
-    /// Execute latency of each suppressed attempt, oldest first.
-    latencies: Vec<Duration>,
+/// What [`run_waves`] hands its caller's sink, in dispatch order.
+pub(crate) enum Delivery<'a> {
+    /// A dispatched part's readback, delivered before that part's
+    /// requests.
+    Part(&'a OutputArena),
+    /// A verified request of the part delivered last.
+    Served(Served<'a>),
+    /// A dead-lettered request: every allowed attempt was suppressed, or
+    /// no line can hold it any more. `attempts` counts its suppressed
+    /// attempts.
+    Failed {
+        /// The request's first-attempt row in its group.
+        row: usize,
+        ticket: Ticket,
+        attempts: u32,
+    },
+}
+
+/// One verified request: where it ran, its outputs and its attempt
+/// history.
+pub(crate) struct Served<'a> {
+    pub(crate) group: usize,
+    /// The request's first-attempt row in its group.
+    pub(crate) row: usize,
+    pub(crate) ticket: Ticket,
+    pub(crate) submitted_at: Instant,
+    pub(crate) shard: usize,
+    /// Wave index within the flush.
+    pub(crate) wave: usize,
+    pub(crate) axis: Axis,
+    pub(crate) slot: Slot,
+    /// Position in the part's readback arena.
+    pub(crate) index: usize,
+    /// The request's output bits (`arena.get(index)`).
+    pub(crate) outputs: &'a [bool],
+    /// Dispatch of the request's first attempt.
+    pub(crate) first_dispatch: Instant,
+    /// Dispatch of the wave that served it.
+    pub(crate) dispatched_at: Instant,
+    /// Execute latency of each suppressed earlier attempt, oldest first.
+    pub(crate) earlier: &'a [Duration],
+    /// Execute latency of the serving attempt.
+    pub(crate) execute_latency: Duration,
 }
 
 /// Executes `groups` to completion over the `active` subset of `shards`
-/// under `knobs`, folding everything into `outcome`; on success the
-/// results end up sorted by ticket.
+/// under `knobs`, folding the accounting into `outcome` and handing every
+/// resolved request to `sink` ([`Delivery`]). Nothing is pushed into
+/// `outcome.results` or `outcome.failed` here, and nothing is sorted: the
+/// sink decides what a delivery becomes.
+///
+/// Wave indices continue from `outcome.waves`; the plan's axis rotation
+/// restarts at every call, and the wear rotation origin is
+/// `knobs.origin_base` plus the flush-wide wave index.
 ///
 /// `active` is the strictly ascending list of shard indices the plan may
 /// use — the health loop's quarantine reroutes traffic by shrinking it.
@@ -185,25 +221,26 @@ struct RetryState {
 /// renaming `active[k] ↔ k` (the quarantine determinism guarantee).
 ///
 /// On a shard failure the error is returned after the failing wave's
-/// *successful* batches are folded in, and the flush's undispatched
+/// *successful* batches are delivered, and the flush's undispatched
 /// traffic is abandoned — shard errors are placement or legality bugs,
-/// not runtime conditions (submissions are validated up front). The
-/// caller keeps `outcome`, so already-served tickets survive the error.
+/// not runtime conditions (submissions are validated up front).
 pub(crate) fn run_waves(
     shards: &mut [PimDevice],
     groups: &mut [Group],
     knobs: PackingKnobs,
     outcome: &mut ClusterOutcome,
     active: &[usize],
+    sink: &mut impl FnMut(&mut ClusterOutcome, Delivery<'_>),
 ) -> Result<(), ClusterError> {
     debug_assert!(
         active.windows(2).all(|w| w[0] < w[1]) && active.iter().all(|&s| s < shards.len()),
         "active shard list must be strictly ascending and in range"
     );
-    // Tickets with suppressed attempts behind them, keyed by ticket id.
-    // The table lives for one flush only: a requeued ticket is always
-    // re-dispatched (or dead-lettered) before `run_waves` returns.
-    let mut retry: HashMap<u64, RetryState> = HashMap::new();
+    let base = outcome.waves;
+    let knobs = PackingKnobs {
+        origin_base: knobs.origin_base + base,
+        ..knobs
+    };
     // Rotation applied to the active shard list: bumped after every wave
     // that suppressed at least one ticket, so a retried ticket's next
     // attempt prefers a different shard (fresh lines, independent fault
@@ -218,7 +255,7 @@ pub(crate) fn run_waves(
     // than looped on forever.
     let mut skipped = 0usize;
     loop {
-        let wave = outcome.waves + skipped;
+        let wave = outcome.waves - base + skipped;
         let jobs = plan_wave(shards, groups, active, knobs, wave, spin);
         if jobs.is_empty() {
             if groups.iter().map(Group::remaining).sum::<usize>() == 0 {
@@ -229,11 +266,19 @@ pub(crate) fn run_waves(
                 // No line anywhere can hold a request: fail the
                 // remainder explicitly instead of spinning.
                 for g in groups.iter_mut() {
-                    let n = g.remaining();
-                    let (tickets, _inputs) = g.take(n);
-                    for (ticket, _submitted_at) in tickets {
-                        let attempts = retry.remove(&ticket.id()).map_or(0, |s| s.attempts);
-                        outcome.failed.push(FailedRequest { ticket, attempts });
+                    for row in g.take(g.remaining()) {
+                        let (origin, attempts) = g
+                            .history(row)
+                            .map_or((row, 0), |h| (h.origin, h.latencies.len() as u32));
+                        let ticket = g.tickets[row].0;
+                        sink(
+                            outcome,
+                            Delivery::Failed {
+                                row: origin,
+                                ticket,
+                                attempts,
+                            },
+                        );
                     }
                 }
                 break;
@@ -242,13 +287,11 @@ pub(crate) fn run_waves(
         }
         skipped = 0;
         let retries_before = outcome.retries;
-        dispatch_wave(shards, groups, jobs, knobs, outcome, &mut retry, wave)?;
+        dispatch_wave(shards, groups, jobs, knobs, outcome, base + wave, sink)?;
         if outcome.retries > retries_before {
             spin += 1;
         }
     }
-    outcome.results.sort_by_key(|r| r.ticket);
-    outcome.failed.sort_by_key(|f| f.ticket);
     Ok(())
 }
 
@@ -317,13 +360,11 @@ fn plan_wave(
             let line_len = caps[si];
             let avail = line_len - avoid.len();
             let take = g.remaining().min(knobs.batch_limit).min(avail);
-            let (tickets, inputs) = g.take(take);
+            let rows = g.take(take);
             jobs.push(WaveJob {
                 shard: rotated[si],
                 group: gi,
-                program: g.program.clone(),
-                tickets,
-                inputs,
+                runs: [rows.clone(), rows.end..rows.end],
                 lines: take,
                 avoid,
                 line_len,
@@ -339,14 +380,12 @@ fn plan_wave(
         if g.remaining() == 0 {
             continue;
         }
-        let depth = knobs.per_line(job.line_len, &job.program) - 1;
+        let depth = knobs.per_line(job.line_len, &g.program) - 1;
         let extra = g.remaining().min(job.lines * depth);
         if extra == 0 {
             continue;
         }
-        let (tickets, inputs) = g.take(extra);
-        job.tickets.extend(tickets);
-        job.inputs.extend(inputs);
+        job.runs[1] = g.take(extra);
     }
     let mut planned: Vec<(WaveJob, PlacementPlan)> = jobs
         .into_iter()
@@ -362,10 +401,10 @@ fn plan_wave(
             let plan = PlacementPlan::pack_avoiding(
                 axis,
                 job.line_len,
-                job.program.footprint().max(1),
+                groups[job.group].program.footprint().max(1),
                 job.lines,
                 knobs.pack_limit,
-                job.tickets.len(),
+                job.runs.iter().map(Range::len).sum(),
                 knobs.origin_base + wave,
                 &job.avoid,
             )
@@ -429,12 +468,9 @@ fn plan_wave(
                     &avoid,
                 )
                 .expect("co-located chunks fit the free lines by construction");
-                let (tickets, inputs) = g.take(take);
                 job.extras.push(ExtraPart {
                     group: gi,
-                    program: g.program.clone(),
-                    tickets,
-                    inputs,
+                    rows: g.take(take),
                     plan: extra_plan,
                 });
             }
@@ -446,84 +482,63 @@ fn plan_wave(
     planned
 }
 
-/// Runs one wave job on its shard: the plain single-program plan when the
-/// job has no extras (every pre-PR-10 flush), the multi-program wave when
-/// pass 3 co-located other groups onto the shard. Both shapes return the
-/// per-part [`MultiBatchOutcome`] so the fold below has one code path.
+/// Runs one wave job on its shard: the main part plus any co-located
+/// extras, each reading its inputs straight from its group's buffer.
 fn run_job(
     device: &mut PimDevice,
+    groups: &[Group],
     job: &WaveJob,
     plan: &PlacementPlan,
 ) -> Result<MultiBatchOutcome, DeviceError> {
+    let main = groups[job.group].part(plan, &job.runs);
     if job.extras.is_empty() {
-        let batch = device.run_plan(&job.program, plan, &job.inputs)?;
-        return Ok(MultiBatchOutcome {
-            parts: vec![batch.outputs],
-            input_check: batch.input_check,
-            stats: batch.stats,
-            gate_evals: batch.gate_evals,
-            uncorrectable_input: batch.uncorrectable_input,
-        });
+        return device.run_wave(&[main]);
     }
-    let parts: Vec<PlacementPlan> = std::iter::once(plan.clone())
-        .chain(job.extras.iter().map(|e| e.plan.clone()))
+    let parts: Vec<WavePart<'_>> = std::iter::once(main)
+        .chain(
+            job.extras
+                .iter()
+                .map(|e| groups[e.group].part(&e.plan, std::slice::from_ref(&e.rows))),
+        )
         .collect();
-    let multi = MultiProgramPlan::new(parts)?;
-    let requests: Vec<MultiPartRequest<'_>> = std::iter::once(MultiPartRequest {
-        program: &job.program,
-        requests: &job.inputs,
-    })
-    .chain(job.extras.iter().map(|e| MultiPartRequest {
-        program: &e.program,
-        requests: &e.inputs,
-    }))
-    .collect();
-    device.run_multi(&multi, &requests)
+    device.run_wave(&parts)
 }
 
-/// Runs one planned wave and folds the batch outcomes into `outcome`.
+/// Runs one planned wave, folds the batch accounting into `outcome` and
+/// hands every part's requests to `sink` (see [`Delivery`]); `wave` is
+/// the flush-wide index the deliveries carry.
 ///
 /// The host runs the wave's jobs one after another on the flushing
 /// thread, in ascending shard order; the model clock still runs them in
 /// parallel, so the wave's wall MEM cycles are the *maximum* over its
 /// shards. Every job runs even when a sibling shard fails, its successful
-/// batch is folded in, and only the first error (lowest shard) is
+/// batch is delivered, and only the first error (lowest shard) is
 /// reported.
 ///
-/// Tickets whose lines drew an uncorrectable ECC verdict never yield a
-/// [`TicketResult`] here: their outputs are suppressed and they re-enter
-/// their group (`retry` carries their attempt history) or dead-letter
-/// into [`ClusterOutcome::failed`] once `knobs.max_retries` is spent.
-/// Co-located parts share their wave's verdict — a suspect block-line
-/// suppresses whichever parts' slots sit on it, each requeueing into its
-/// *own* group.
-#[allow(clippy::too_many_arguments)]
+/// Requests whose lines drew an uncorrectable ECC verdict are never
+/// served here: their outputs are suppressed and their rows re-enter
+/// their group ([`Group::requeue`] carries their attempt history), or
+/// they are delivered as [`Delivery::Failed`] once `knobs.max_retries`
+/// is spent. Co-located parts share their wave's verdict — a suspect
+/// block-line suppresses whichever parts' slots sit on it, each
+/// requeueing into its *own* group.
 fn dispatch_wave(
     shards: &mut [PimDevice],
     groups: &mut [Group],
     jobs: Vec<(WaveJob, PlacementPlan)>,
     knobs: PackingKnobs,
     outcome: &mut ClusterOutcome,
-    retry: &mut HashMap<u64, RetryState>,
     wave: usize,
+    sink: &mut impl FnMut(&mut ClusterOutcome, Delivery<'_>),
 ) -> Result<(), ClusterError> {
     let dispatched_at = Instant::now();
     let mut wave_wall = 0;
     let mut first_error = None;
     for (job, plan) in jobs {
         let started = Instant::now();
-        let result = run_job(&mut shards[job.shard], &job, &plan);
+        let result = run_job(&mut shards[job.shard], groups, &job, &plan);
         let execute_latency = started.elapsed();
-        let WaveJob {
-            shard,
-            group,
-            tickets,
-            inputs,
-            avoid,
-            line_len,
-            extras,
-            ..
-        } = job;
+        let shard = job.shard;
         let batch = match result {
             Ok(batch) => batch,
             Err(source) => {
@@ -545,79 +560,73 @@ fn dispatch_wave(
         // hold rather than what it shipped with. One wave dispatches the
         // shard once no matter how many parts ride it — co-location
         // *raises* utilization against the same denominator.
-        let in_service = line_len - avoid.len();
+        let in_service = job.line_len - job.avoid.len();
         report.line_capacity += in_service as u64;
-        report.cell_capacity += (in_service * line_len) as u64;
-        let unc = batch.uncorrectable_input;
+        report.cell_capacity += (in_service * job.line_len) as u64;
+        let unc = batch.uncorrectable_input.as_ref();
         // The main part first, then the extras, in the same order their
         // plans were assembled — parallel to `batch.parts`.
-        type WavePart = (usize, Vec<(Ticket, Instant)>, Vec<Vec<bool>>, PlacementPlan);
-        let parts: Vec<WavePart> = std::iter::once((group, tickets, inputs, plan))
-            .chain(
-                extras
-                    .into_iter()
-                    .map(|e| (e.group, e.tickets, e.inputs, e.plan)),
-            )
-            .collect();
-        for ((part_group, tickets, mut inputs, part_plan), arena) in
-            parts.into_iter().zip(batch.parts)
-        {
-            report.requests += tickets.len() as u64;
+        let parts = std::iter::once((job.group, &job.runs[..], &plan)).chain(
+            job.extras
+                .iter()
+                .map(|e| (e.group, std::slice::from_ref(&e.rows), &e.plan)),
+        );
+        for ((gi, runs, part_plan), arena) in parts.zip(&batch.parts) {
+            let report = &mut outcome.shard_reports[shard];
+            report.requests += part_plan.requests() as u64;
             report.lines_occupied += part_plan.lines_occupied() as u64;
             report.cells_occupied += part_plan.cells_occupied() as u64;
-            let width = arena.width();
-            // One `Arc` per part per batch: every ticket's result slices
-            // into it instead of owning a fresh Vec.
-            let bits: Arc<[bool]> = arena.into_bits().into();
-            for (i, ((ticket, submitted_at), slot)) in tickets
-                .into_iter()
-                .zip(part_plan.slots().iter().copied())
-                .enumerate()
-            {
-                if unc.as_ref().is_some_and(|u| u.covers_line(slot.line)) {
-                    // An uncorrectable verdict covers this ticket's lines:
-                    // the outputs cannot be vouched for, so they are
-                    // suppressed — never resolved. The ticket re-enters
+            sink(outcome, Delivery::Part(arena));
+            let rows = runs.iter().cloned().flatten();
+            for ((index, &slot), row) in part_plan.slots().iter().enumerate().zip(rows) {
+                let g = &mut groups[gi];
+                let (ticket, submitted_at) = g.tickets[row];
+                if unc.is_some_and(|u| u.covers_line(slot.line)) {
+                    // An uncorrectable verdict covers this request's
+                    // lines: the outputs cannot be vouched for, so they
+                    // are suppressed — never delivered. The row re-enters
                     // its group for the next wave, or dead-letters
                     // explicitly once its attempt budget is spent.
-                    let state = retry.entry(ticket.id()).or_default();
-                    state.attempts += 1;
-                    state.latencies.push(execute_latency);
-                    if state.attempts > knobs.max_retries {
-                        let state = retry.remove(&ticket.id()).expect("just updated");
-                        outcome.failed.push(FailedRequest {
-                            ticket,
-                            attempts: state.attempts,
-                        });
+                    let attempts = g.history(row).map_or(0, |h| h.latencies.len()) as u32 + 1;
+                    if attempts > knobs.max_retries {
+                        let origin = g.history(row).map_or(row, |h| h.origin);
+                        sink(
+                            outcome,
+                            Delivery::Failed {
+                                row: origin,
+                                ticket,
+                                attempts,
+                            },
+                        );
                     } else {
                         outcome.retries += 1;
-                        groups[part_group].requests.push((
-                            ticket,
-                            submitted_at,
-                            std::mem::take(&mut inputs[i]),
-                        ));
+                        g.requeue(row, dispatched_at, execute_latency);
                     }
                     continue;
                 }
-                let (attempts, mut attempt_latencies) = match retry.remove(&ticket.id()) {
-                    Some(state) => (state.attempts + 1, state.latencies),
-                    None => (1, Vec::new()),
+                let (origin, first_dispatch, earlier) = match g.history(row) {
+                    Some(h) => (h.origin, h.first_dispatch, h.latencies.as_slice()),
+                    None => (row, dispatched_at, &[][..]),
                 };
-                attempt_latencies.push(execute_latency);
-                let execute_total = attempt_latencies.iter().sum();
-                outcome.results.push(TicketResult {
-                    ticket,
-                    shard,
-                    wave,
-                    axis: part_plan.axis(),
-                    line: slot.line,
-                    offset: slot.offset,
-                    outputs: OutputSlice::new(Arc::clone(&bits), i * width, width),
-                    attempts,
-                    queue_latency: dispatched_at.saturating_duration_since(submitted_at),
-                    execute_latency: execute_total,
-                    attempt_latencies,
-                });
+                sink(
+                    outcome,
+                    Delivery::Served(Served {
+                        group: gi,
+                        row: origin,
+                        ticket,
+                        submitted_at,
+                        shard,
+                        wave,
+                        axis: part_plan.axis(),
+                        slot,
+                        index,
+                        outputs: arena.get(index),
+                        first_dispatch,
+                        dispatched_at,
+                        earlier,
+                        execute_latency,
+                    }),
+                );
             }
         }
     }

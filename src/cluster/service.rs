@@ -9,10 +9,12 @@
 use super::error::ClusterError;
 use super::health::HealthMonitor;
 use super::outcome::{ClusterOutcome, FailedRequest, OutputSlice, TicketResult};
-use super::queue::{group_into, group_partitioned, Group, Pending, PendingPartitioned, Ticket};
-use super::scheduler::{self, AxisPolicy, PackingKnobs};
+use super::queue::{
+    group_into, group_partitioned, shell, Group, Pending, PendingPartitioned, Ticket,
+};
+use super::scheduler::{self, AxisPolicy, Delivery, PackingKnobs};
 use crate::compiler::PartitionedProgram;
-use crate::device::{Axis, CompiledProgram, PimDevice, ProgramCache};
+use crate::device::{Axis, CompiledProgram, PimDevice, ProgramCache, Slot};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -87,22 +89,30 @@ pub(crate) fn validate_partitioned(
 
 /// Reusable flush-path buffers: after the first flush warms them up, a
 /// steady-state flush allocates nothing of its own — the pending queue,
-/// the fingerprint groups (with their request buffers), the ticket list
-/// and the grouping index all recycle last flush's capacity. (The
-/// returned [`ClusterOutcome`] still allocates: it escapes to the
+/// the fingerprint groups (with their ticket and input buffers), the
+/// ticket list and the grouping index all recycle last flush's capacity.
+/// (The returned [`ClusterOutcome`] still allocates: it escapes to the
 /// caller.)
 #[derive(Debug, Default)]
 pub(crate) struct FlushArena {
     /// Every ticket of the flush in submission order — consulted only on
     /// the error path to list the dropped ones.
     submitted: Vec<Ticket>,
-    /// Group shells for [`group_into`]; drained (and their request
-    /// buffers recycled into `request_bufs`) after each flush.
+    /// The groups `run_waves` is serving: the flush's fingerprint groups,
+    /// then each partitioned level's.
     groups: Vec<Group>,
     /// Fingerprint → group index scratch for [`group_into`].
     fp_index: HashMap<u64, usize>,
-    /// Emptied per-group request buffers awaiting reuse.
-    request_bufs: Vec<Vec<(Ticket, Instant, Vec<bool>)>>,
+    /// Emptied group shells awaiting reuse (a shell keeps its last
+    /// program handle until [`shell`] resets it).
+    spare: Vec<Group>,
+}
+
+impl FlushArena {
+    /// Moves every served group back to the spare shells.
+    fn recycle(&mut self) {
+        self.spare.append(&mut self.groups);
+    }
 }
 
 /// The shard pool behind every cluster front-end: devices, packing knobs,
@@ -212,42 +222,63 @@ impl ClusterCore {
             &mut self.pending,
             &mut self.arena.groups,
             &mut self.arena.fp_index,
-            &mut self.arena.request_bufs,
+            &mut self.arena.spare,
         );
-        let knobs = PackingKnobs {
-            batch_limit: self.batch_limit,
-            pack_limit: self.pack_limit,
-            axis_policy: self.axis_policy,
-            origin_base: self.waves_dispatched,
-            max_retries: self.max_retries,
-            colocate: self.colocate,
-        };
+        let knobs = self.knobs();
         let active = self.health.active_shards();
+        // One `Arc` per dispatched part: every result of the part slices
+        // it instead of owning a fresh Vec.
+        let mut bits: Arc<[bool]> = Arc::from([]);
+        let mut width = 0;
+        let mut sink = |outcome: &mut ClusterOutcome, delivery: Delivery<'_>| match delivery {
+            Delivery::Part(arena) => {
+                bits = arena.as_bits().into();
+                width = arena.width();
+            }
+            Delivery::Served(s) => {
+                let mut attempt_latencies = Vec::with_capacity(s.earlier.len() + 1);
+                attempt_latencies.extend_from_slice(s.earlier);
+                attempt_latencies.push(s.execute_latency);
+                outcome.results.push(TicketResult {
+                    ticket: s.ticket,
+                    shard: s.shard,
+                    wave: s.wave,
+                    axis: s.axis,
+                    line: s.slot.line,
+                    offset: s.slot.offset,
+                    outputs: OutputSlice::new(Arc::clone(&bits), s.index * width, width),
+                    attempts: attempt_latencies.len() as u32,
+                    queue_latency: s.dispatched_at.saturating_duration_since(s.submitted_at),
+                    execute_latency: attempt_latencies.iter().sum(),
+                    attempt_latencies,
+                });
+            }
+            Delivery::Failed {
+                ticket, attempts, ..
+            } => outcome.failed.push(FailedRequest { ticket, attempts }),
+        };
         let mut ran = scheduler::run_waves(
             &mut self.shards,
             &mut self.arena.groups,
             knobs,
             &mut outcome,
             &active,
+            &mut sink,
         );
-        // Recycle the drained group shells: the inputs moved out through
-        // `Group::take`, so only the (cleared) buffer capacity survives.
-        for g in self.arena.groups.drain(..) {
-            let mut requests = g.requests;
-            requests.clear();
-            self.arena.request_bufs.push(requests);
-        }
         if ran.is_ok() {
             for (program, requests) in group_partitioned(partitioned) {
-                if let Err(e) = self.run_partitioned_group(program, requests, &mut outcome, &active)
+                if let Err(e) =
+                    self.run_partitioned_group(&program, &requests, &mut outcome, &active)
                 {
                     ran = Err(e);
                     break;
                 }
             }
         }
+        self.arena.recycle();
         // Partitioned results land after the ordinary ones but may carry
-        // earlier tickets; restore the order outputs_for binary-searches.
+        // earlier tickets, and retried tickets land after later ones:
+        // restore the order outputs_for binary-searches.
         outcome.results.sort_by_key(|r| r.ticket);
         outcome.failed.sort_by_key(|f| f.ticket);
         // Waves that dispatched advance the wear rotation even when a
@@ -290,38 +321,65 @@ impl ClusterCore {
         }
     }
 
+    /// The scheduler knobs of a flush.
+    fn knobs(&self) -> PackingKnobs {
+        PackingKnobs {
+            batch_limit: self.batch_limit,
+            pack_limit: self.pack_limit,
+            axis_policy: self.axis_policy,
+            origin_base: self.waves_dispatched,
+            max_retries: self.max_retries,
+            colocate: self.colocate,
+        }
+    }
+
     /// Serves one partitioned group: every request of one
     /// [`PartitionedProgram`], executed as one wave chain.
     ///
     /// Each request owns one row of a request-major signal table laid out
     /// by the compiler: its primary inputs, then every part's outputs at
     /// fixed slots. Level by level, each sub-program becomes an ordinary
-    /// scheduler group whose per-request inputs are gathered from that
-    /// row, and every sub-result's outputs are copied back into it.
-    /// Within a level the parts are independent, so their groups share one
-    /// `run_waves` call and pack together exactly like unrelated ordinary
-    /// traffic. Sub-requests ride on synthetic tickets
-    /// (`part_index * n_requests + request_index`) that never leave this
-    /// function; the caller-visible outcome gets one merged
-    /// [`TicketResult`] per original request, anchored at the placement of
-    /// its last sub-program.
+    /// scheduler [`Group`] whose input rows are gathered from the signal
+    /// rows straight into the group's buffer; within a level the parts are
+    /// independent, so their groups share one `run_waves` call and pack
+    /// together exactly like unrelated ordinary traffic. Sub-requests
+    /// never become tickets or results: the sink copies each verified
+    /// sub-request's outputs into its request's signal row and updates the
+    /// request's merged accounting in place, so between levels the signal
+    /// row is the only per-request state. The caller-visible outcome gets
+    /// one merged [`TicketResult`] per request, anchored at the placement
+    /// of its last sub-program, with the latency semantics documented on
+    /// [`TicketResult`].
     fn run_partitioned_group(
         &mut self,
-        program: Arc<PartitionedProgram>,
-        requests: Vec<(Ticket, Instant, Vec<bool>)>,
+        program: &PartitionedProgram,
+        requests: &[(Ticket, Instant, Vec<bool>)],
         outcome: &mut ClusterOutcome,
         active: &[usize],
     ) -> Result<(), ClusterError> {
+        /// Where a request's last sub-program ran.
         struct Anchor {
             part: usize,
             shard: usize,
             wave: usize,
             axis: Axis,
-            line: usize,
-            offset: usize,
-            queue_latency: Duration,
-            execute_latency: Duration,
-            attempt_latencies: Vec<Duration>,
+            slot: Slot,
+        }
+        /// One request's merged accounting, updated in place by the sink.
+        #[derive(Default)]
+        struct Merged {
+            anchor: Option<Anchor>,
+            /// Earliest first-attempt dispatch over its sub-programs.
+            first_dispatch: Option<Instant>,
+            /// Worst attempt count over its sub-programs.
+            attempts: u32,
+            /// Entry `k`: the sum of every sub-program's `k`-th attempt
+            /// latency.
+            latencies: Vec<Duration>,
+            /// Set once a sub-program dead-letters: the whole request
+            /// fails (a partial circuit has no meaning), later levels skip
+            /// it, and this holds the worst exhausted attempt count.
+            failed: Option<u32>,
         }
 
         let nreq = requests.len();
@@ -330,128 +388,117 @@ impl ClusterCore {
         for (ri, (_, _, inputs)) in requests.iter().enumerate() {
             signals[ri * width..][..inputs.len()].copy_from_slice(inputs);
         }
-        let mut anchors: Vec<Option<Anchor>> = (0..nreq).map(|_| None).collect();
-        // Requests with a dead-lettered sub-program: the whole request
-        // fails (a partial circuit has no meaning), later levels skip it,
-        // and the caller sees one [`FailedRequest`] on the original
-        // ticket. Holds the exhausted sub-request's attempt count.
-        let mut failed_req: Vec<Option<u32>> = vec![None; nreq];
-        // Worst retry chain over a request's sub-programs — the merged
-        // result's attempt count.
-        let mut attempts_max: Vec<u32> = vec![1; nreq];
-
-        for level in 0..program.num_levels() {
-            let wave_base = outcome.waves;
-            let mut groups: Vec<Group> = program.levels()[level]
-                .clone()
-                .map(|pi| {
-                    let part = &program.parts()[pi];
-                    let requests = requests
-                        .iter()
-                        .enumerate()
-                        .filter(|(ri, _)| failed_req[*ri].is_none())
-                        .map(|(ri, (_, submitted_at, _))| {
-                            let row = &signals[ri * width..(ri + 1) * width];
-                            let local = part.input_slots().iter().map(|&s| row[s]).collect();
-                            let synthetic = Ticket((pi * nreq + ri) as u64);
-                            (synthetic, *submitted_at, local)
-                        })
-                        .collect();
-                    Group {
-                        program: part.program().clone(),
-                        requests,
-                        cursor: 0,
-                    }
-                })
-                .collect();
-            let knobs = PackingKnobs {
-                batch_limit: self.batch_limit,
-                pack_limit: self.pack_limit,
-                axis_policy: self.axis_policy,
-                origin_base: self.waves_dispatched + wave_base,
-                max_retries: self.max_retries,
-                colocate: self.colocate,
-            };
-            let mut scratch = ClusterOutcome::empty(self.shards.len());
-            let ran =
-                scheduler::run_waves(&mut self.shards, &mut groups, knobs, &mut scratch, active);
-            // Harvest the cut signals (and anchor metadata) before folding
-            // the scratch stats in — the synthetic tickets must never
-            // reach the caller-visible result list.
-            for r in std::mem::take(&mut scratch.results) {
-                let pi = (r.ticket.id() as usize) / nreq;
-                let ri = (r.ticket.id() as usize) % nreq;
-                attempts_max[ri] = attempts_max[ri].max(r.attempts);
-                if anchors[ri].as_ref().is_none_or(|a| pi >= a.part) {
-                    anchors[ri] = Some(Anchor {
-                        part: pi,
-                        shard: r.shard,
-                        wave: wave_base + r.wave,
-                        axis: r.axis,
-                        line: r.line,
-                        offset: r.offset,
-                        queue_latency: r.queue_latency,
-                        execute_latency: r.execute_latency,
-                        attempt_latencies: r.attempt_latencies,
-                    });
+        let mut merged: Vec<Merged> = (0..nreq).map(|_| Merged::default()).collect();
+        // The requests still alive at this level: row `k` of every level
+        // group is request `live[k]`.
+        let mut live: Vec<usize> = Vec::with_capacity(nreq);
+        let knobs = self.knobs();
+        for level in program.levels() {
+            live.clear();
+            live.extend((0..nreq).filter(|&ri| merged[ri].failed.is_none()));
+            self.arena.recycle();
+            for part in &program.parts()[level.clone()] {
+                let mut g = shell(&mut self.arena.spare, part.program().clone());
+                for &ri in &live {
+                    let row = &signals[ri * width..(ri + 1) * width];
+                    let (ticket, submitted_at, _) = requests[ri];
+                    g.push(
+                        ticket,
+                        submitted_at,
+                        part.input_slots().iter().map(|&s| row[s]),
+                    );
                 }
-                signals[ri * width..][program.parts()[pi].output_slots()]
-                    .copy_from_slice(&r.outputs);
+                self.arena.groups.push(g);
             }
-            // A dead-lettered sub-request fails its whole request — the
-            // synthetic failure is translated to the original ticket (and
-            // must never leak into the caller-visible failed list).
-            for f in std::mem::take(&mut scratch.failed) {
-                let ri = (f.ticket.id() as usize) % nreq;
-                let failed = failed_req[ri].get_or_insert(0);
-                *failed = (*failed).max(f.attempts);
-            }
-            outcome.merge(scratch);
-            ran?;
+            let mut sink = |_: &mut ClusterOutcome, delivery: Delivery<'_>| match delivery {
+                Delivery::Part(_) => {}
+                Delivery::Served(s) => {
+                    let part = level.start + s.group;
+                    let ri = live[s.row];
+                    signals[ri * width..][program.parts()[part].output_slots()]
+                        .copy_from_slice(s.outputs);
+                    let m = &mut merged[ri];
+                    m.attempts = m.attempts.max(s.earlier.len() as u32 + 1);
+                    for (k, &latency) in s.earlier.iter().chain([&s.execute_latency]).enumerate() {
+                        match m.latencies.get_mut(k) {
+                            Some(sum) => *sum += latency,
+                            None => m.latencies.push(latency),
+                        }
+                    }
+                    m.first_dispatch = Some(
+                        m.first_dispatch
+                            .map_or(s.first_dispatch, |t| t.min(s.first_dispatch)),
+                    );
+                    if m.anchor.as_ref().is_none_or(|a| part >= a.part) {
+                        m.anchor = Some(Anchor {
+                            part,
+                            shard: s.shard,
+                            wave: s.wave,
+                            axis: s.axis,
+                            slot: s.slot,
+                        });
+                    }
+                }
+                Delivery::Failed { row, attempts, .. } => {
+                    let failed = merged[live[row]].failed.get_or_insert(0);
+                    *failed = (*failed).max(attempts);
+                }
+            };
+            scheduler::run_waves(
+                &mut self.shards,
+                &mut self.arena.groups,
+                knobs,
+                outcome,
+                active,
+                &mut sink,
+            )?;
         }
 
         // Every merged result slices one buffer of primary outputs,
         // gathered from the signal rows.
         let nout = program.num_outputs();
-        let merged: Arc<[bool]> = (0..nreq)
+        let outputs: Arc<[bool]> = (0..nreq)
             .flat_map(|ri| {
                 let row = &signals[ri * width..(ri + 1) * width];
                 program.output_slots().iter().map(move |&s| row[s])
             })
             .collect();
-        for (ri, (ticket, submitted_at, _)) in requests.iter().enumerate() {
-            if let Some(attempts) = failed_req[ri] {
-                outcome.failed.push(FailedRequest {
-                    ticket: *ticket,
-                    attempts,
-                });
+        for (ri, (&(ticket, submitted_at, _), m)) in requests.iter().zip(merged).enumerate() {
+            if let Some(attempts) = m.failed {
+                outcome.failed.push(FailedRequest { ticket, attempts });
                 continue;
             }
-            // A gate-free partition (outputs pass straight through) never
-            // dispatched anything; anchor such a result at rest.
-            let anchor = anchors[ri].take().unwrap_or(Anchor {
-                part: 0,
-                shard: 0,
-                wave: 0,
-                axis: self.axis_policy.axis_for(0),
-                line: 0,
-                offset: 0,
-                queue_latency: submitted_at.elapsed(),
-                execute_latency: Duration::ZERO,
-                attempt_latencies: vec![Duration::ZERO],
-            });
+            let outputs = OutputSlice::new(Arc::clone(&outputs), ri * nout, nout);
+            let (Some(anchor), Some(first_dispatch)) = (m.anchor, m.first_dispatch) else {
+                // A gate-free partition (outputs pass straight through)
+                // never dispatched anything; anchor such a result at rest.
+                outcome.results.push(TicketResult {
+                    ticket,
+                    shard: 0,
+                    wave: 0,
+                    axis: self.axis_policy.axis_for(0),
+                    line: 0,
+                    offset: 0,
+                    outputs,
+                    attempts: 1,
+                    queue_latency: submitted_at.elapsed(),
+                    execute_latency: Duration::ZERO,
+                    attempt_latencies: vec![Duration::ZERO],
+                });
+                continue;
+            };
             outcome.results.push(TicketResult {
-                ticket: *ticket,
+                ticket,
                 shard: anchor.shard,
                 wave: anchor.wave,
                 axis: anchor.axis,
-                line: anchor.line,
-                offset: anchor.offset,
-                outputs: OutputSlice::new(Arc::clone(&merged), ri * nout, nout),
-                attempts: attempts_max[ri],
-                queue_latency: anchor.queue_latency,
-                execute_latency: anchor.execute_latency,
-                attempt_latencies: anchor.attempt_latencies,
+                line: anchor.slot.line,
+                offset: anchor.slot.offset,
+                outputs,
+                attempts: m.attempts,
+                queue_latency: first_dispatch.saturating_duration_since(submitted_at),
+                execute_latency: m.latencies.iter().sum(),
+                attempt_latencies: m.latencies,
             });
         }
         Ok(())

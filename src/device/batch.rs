@@ -71,15 +71,6 @@ impl OutputArena {
         }
     }
 
-    /// Appends one request's output bits (device-side fill).
-    ///
-    /// The slice length must equal the arena's width.
-    pub(crate) fn push_request(&mut self, bits: &[bool]) {
-        debug_assert_eq!(bits.len(), self.width);
-        self.bits.extend_from_slice(bits);
-        self.requests += 1;
-    }
-
     /// Output bits per request.
     pub fn width(&self) -> usize {
         self.width

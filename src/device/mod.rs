@@ -82,6 +82,7 @@ use pimecc_netlist::NorNetlist;
 use pimecc_simpler::{Program, Step};
 use pimecc_xbar::{LineSet, ParallelStep};
 use std::collections::HashMap;
+use std::ops::Range;
 
 // The cluster service moves whole devices into its worker thread and
 // ships compiled-program handles across an MPSC channel, so these bounds
@@ -130,6 +131,72 @@ pub struct MultiPartRequest<'a> {
     pub program: &'a CompiledProgram,
     /// The part's requests, in the part plan's slot order.
     pub requests: &'a [Vec<bool>],
+}
+
+/// The input rows of one wave part, in the part plan's slot order: the
+/// one indexable view the load path reads. The public entry points hand
+/// over one `Vec` per request; the cluster scheduler hands over index runs
+/// into a group's request-major buffer, so its path holds no per-request
+/// `Vec`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum InputRows<'a> {
+    /// One `Vec` per request.
+    Vecs(&'a [Vec<bool>]),
+    /// `width`-bit rows of one request-major buffer: slot `i` reads the
+    /// `i`-th row of the concatenated `runs`.
+    Runs {
+        bits: &'a [bool],
+        width: usize,
+        runs: &'a [Range<usize>],
+    },
+}
+
+impl<'a> InputRows<'a> {
+    fn len(&self) -> usize {
+        match *self {
+            InputRows::Vecs(rows) => rows.len(),
+            InputRows::Runs { runs, .. } => runs.iter().map(Range::len).sum(),
+        }
+    }
+
+    /// The first request whose width is not `want`, with that width.
+    fn mismatch(&self, want: usize) -> Option<(usize, usize)> {
+        match *self {
+            InputRows::Vecs(rows) => rows
+                .iter()
+                .position(|r| r.len() != want)
+                .map(|i| (i, rows[i].len())),
+            InputRows::Runs { width, .. } => (width != want).then_some((0, width)),
+        }
+    }
+
+    /// Slot `i`'s input bits.
+    fn get(&self, mut i: usize) -> &'a [bool] {
+        match *self {
+            InputRows::Vecs(rows) => &rows[i],
+            InputRows::Runs { bits, width, runs } => {
+                for run in runs {
+                    if i < run.len() {
+                        let row = run.start + i;
+                        return &bits[row * width..(row + 1) * width];
+                    }
+                    i -= run.len();
+                }
+                panic!("slot past the part's input rows")
+            }
+        }
+    }
+}
+
+/// One program's share of a wave as [`PimDevice::run_wave`] and the
+/// shared execution tail see it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WavePart<'a> {
+    pub(crate) program: &'a CompiledProgram,
+    pub(crate) plan: &'a PlacementPlan,
+    /// `None` when the inputs are already in place (the two-call
+    /// [`PimDevice::load_request`] → `execute_*` flow).
+    pub(crate) inputs: Option<InputRows<'a>>,
 }
 
 /// When (and how aggressively) the device verifies ECC around a batch.
@@ -732,7 +799,7 @@ impl PimDevice {
         rows: &[usize],
     ) -> Result<BatchOutcome, DeviceError> {
         let plan = self.rows_plan(program, rows)?;
-        self.execute_plan_checked(program, &plan, &[])
+        self.execute_plan_checked(program, &plan)
     }
 
     /// Executes `program` across the already loaded slots of `plan`: one
@@ -754,58 +821,79 @@ impl PimDevice {
         plan: &PlacementPlan,
     ) -> Result<BatchOutcome, DeviceError> {
         self.check_plan(program, plan)?;
-        self.execute_plan_checked(program, plan, &[])
+        self.execute_plan_checked(program, plan)
     }
 
-    /// [`PimDevice::execute_plan`] after validation — the shared tail of
-    /// every batch entry point, so validation runs once per batch. The
-    /// single-program case of [`PimDevice::execute_parts_checked`], so
-    /// one-program batches and multi-program waves cannot drift apart.
+    /// [`PimDevice::execute_plan`] after validation: the single-part case
+    /// of [`PimDevice::execute_parts_checked`] over inputs already in
+    /// place.
     fn execute_plan_checked(
         &mut self,
         program: &CompiledProgram,
         plan: &PlacementPlan,
-        loads: &[(&PlacementPlan, &[Vec<bool>])],
     ) -> Result<BatchOutcome, DeviceError> {
-        let MultiBatchOutcome {
-            mut parts,
-            input_check,
-            stats,
-            gate_evals,
-            uncorrectable_input,
-        } = self.execute_parts_checked(&[(program, plan)], loads)?;
-        Ok(BatchOutcome {
-            outputs: parts.pop().expect("single-part execution yields one arena"),
-            placement: plan.clone(),
-            input_check,
-            stats,
-            gate_evals,
-            uncorrectable_input,
-        })
+        let wave = self.execute_parts_checked(&[WavePart {
+            program,
+            plan,
+            inputs: None,
+        }])?;
+        Ok(single_part(wave, plan))
+    }
+
+    /// Serves one wave of one or more co-located parts: validates every
+    /// part against this device, runs the fault hook, then the shared
+    /// execution tail. [`PimDevice::run_plan`] and [`PimDevice::run_multi`]
+    /// are thin wrappers over it, and the cluster scheduler calls it with
+    /// its own index-based [`InputRows`]. Parts must be pairwise
+    /// line-disjoint: `run_multi` proves it through [`MultiProgramPlan`],
+    /// the scheduler by construction.
+    pub(crate) fn run_wave(
+        &mut self,
+        parts: &[WavePart<'_>],
+    ) -> Result<MultiBatchOutcome, DeviceError> {
+        for part in parts {
+            self.check_plan(part.program, part.plan)?;
+            let Some(inputs) = part.inputs else {
+                continue;
+            };
+            if part.plan.requests() != inputs.len() {
+                return Err(DeviceError::PlacementArity {
+                    rows: part.plan.requests(),
+                    requests: inputs.len(),
+                });
+            }
+            let want = part.program.num_inputs();
+            if let Some((request, got)) = inputs.mismatch(want) {
+                return Err(DeviceError::InputArity { request, got, want });
+            }
+        }
+        if let Some(hook) = self.fault_hook.as_mut() {
+            hook(&mut self.memory);
+        }
+        self.execute_parts_checked(parts)
     }
 
     /// The shared execution tail for one wave of one or more co-located
-    /// program parts (each `(program, plan)` pre-validated; plans pairwise
-    /// line-disjoint when more than one): **one** ECC pre-check sweep over
-    /// the union of touched block-lines, then the input `loads`, each
-    /// part's steps replayed once per occupied offset, one stuck-gated
-    /// post-check, one scrub/strike pass for the suspect lines, then
-    /// per-part arena readback. Checks scale with touched block-lines, not
-    /// parts — co-residency is free at the ECC layer.
+    /// program parts (each pre-validated; plans pairwise line-disjoint
+    /// when more than one): **one** ECC pre-check sweep over the union of
+    /// touched block-lines, then the input load, each part's steps
+    /// replayed once per occupied offset, one stuck-gated post-check, one
+    /// scrub/strike pass for the suspect lines, then per-part arena
+    /// readback. Checks scale with touched block-lines, not parts —
+    /// co-residency is free at the ECC layer.
     ///
     /// The pre-check runs *before* the load: the word-diff load computes
     /// check-bit deltas against the cells' physical values, so a flip
     /// still sitting on a line would be folded into the check bits, and a
-    /// later check would "correct" the fresh input bit instead. Empty
-    /// `loads` is the two-call flow ([`PimDevice::load_request`] then
-    /// `execute_*`), whose inputs are already in place.
+    /// later check would "correct" the fresh input bit instead. Parts
+    /// without inputs are the two-call flow ([`PimDevice::load_request`]
+    /// then `execute_*`), whose inputs are already in place.
     fn execute_parts_checked(
         &mut self,
-        parts: &[(&CompiledProgram, &PlacementPlan)],
-        loads: &[(&PlacementPlan, &[Vec<bool>])],
+        parts: &[WavePart<'_>],
     ) -> Result<MultiBatchOutcome, DeviceError> {
         let stats_before = *self.memory.stats();
-        let axis = parts[0].1.axis();
+        let axis = parts[0].plan.axis();
         let m = self.memory.geometry().m();
 
         // Block-lines with uncorrectable verdicts this wave: every
@@ -815,9 +903,9 @@ impl PimDevice {
         if !matches!(self.check_policy, CheckPolicy::Skip) {
             let bps = self.memory.geometry().blocks_per_side();
             self.block_lines.clear();
-            for (_, plan) in parts {
+            for part in parts {
                 self.block_lines
-                    .extend(plan.slots().iter().map(|s| s.line / m));
+                    .extend(part.plan.slots().iter().map(|s| s.line / m));
             }
             self.block_lines.sort_unstable();
             self.block_lines.dedup();
@@ -852,8 +940,8 @@ impl PimDevice {
                 }
             }
         }
-        if !loads.is_empty() {
-            self.load_inputs(axis, loads)?;
+        if parts.iter().any(|p| p.inputs.is_some()) {
+            self.load_inputs(axis, parts)?;
         }
 
         // Co-packed offsets replay the step sequence once per offset: a
@@ -880,7 +968,7 @@ impl PimDevice {
         // Parts execute in part order — a MAGIC cycle drives one program's
         // voltages, so co-located programs serialize their step sequences
         // (the loads and checks they share are where the wave wins).
-        for &(program, plan) in parts {
+        for &WavePart { program, plan, .. } in parts {
             // Walk the offset groups off a reused sorted-slot scratch
             // instead of `plan.offset_groups()` — same groups in the same
             // order, but no per-wave Vec-of-Vecs.
@@ -1035,8 +1123,7 @@ impl PimDevice {
         // either way — this only changes host time.
         let mut out_parts: Vec<OutputArena> = Vec::with_capacity(parts.len());
         let mut gate_evals = 0u64;
-        let mut bits: Vec<bool> = Vec::new();
-        for &(program, plan) in parts {
+        for &WavePart { program, plan, .. } in parts {
             gate_evals += program.gate_cycles() * plan.requests() as u64;
             self.readback_runs.clear();
             for &c in &program.program().output_cells {
@@ -1048,16 +1135,16 @@ impl PimDevice {
             let grid = self.memory.mem().grid();
             let mut arena = OutputArena::with_capacity(program.num_outputs(), plan.requests());
             for slot in plan.slots() {
-                bits.clear();
                 for &(s, l) in &self.readback_runs {
                     let word = match axis {
                         Axis::Rows => grid.extract_bits(slot.line, slot.offset + s, l),
                         Axis::Cols => grid.extract_col_bits(slot.line, slot.offset + s, l),
                     };
-                    bits.extend((0..l).map(|i| word >> i & 1 != 0));
+                    arena.bits.extend((0..l).map(|i| word >> i & 1 != 0));
                 }
-                arena.push_request(&bits);
+                arena.requests += 1;
             }
+            debug_assert_eq!(arena.bits.len(), arena.requests * arena.width);
             out_parts.push(arena);
         }
         Ok(MultiBatchOutcome {
@@ -1176,25 +1263,12 @@ impl PimDevice {
         plan: &PlacementPlan,
         requests: &[Vec<bool>],
     ) -> Result<BatchOutcome, DeviceError> {
-        self.check_plan(program, plan)?;
-        if plan.requests() != requests.len() {
-            return Err(DeviceError::PlacementArity {
-                rows: plan.requests(),
-                requests: requests.len(),
-            });
-        }
-        let want = program.num_inputs();
-        if let Some((i, req)) = requests.iter().enumerate().find(|(_, r)| r.len() != want) {
-            return Err(DeviceError::InputArity {
-                request: i,
-                got: req.len(),
-                want,
-            });
-        }
-        if let Some(hook) = self.fault_hook.as_mut() {
-            hook(&mut self.memory);
-        }
-        self.execute_plan_checked(program, plan, &[(plan, requests)])
+        let wave = self.run_wave(&[WavePart {
+            program,
+            plan,
+            inputs: Some(InputRows::Vecs(requests)),
+        }])?;
+        Ok(single_part(wave, plan))
     }
 
     /// Serves one **multi-program wave**: part `p`'s requests execute
@@ -1223,44 +1297,17 @@ impl PimDevice {
                 groups: parts.len(),
             });
         }
-        for (sub, part) in plan.parts().iter().zip(parts) {
-            self.check_plan(part.program, sub)?;
-            if sub.requests() != part.requests.len() {
-                return Err(DeviceError::PlacementArity {
-                    rows: sub.requests(),
-                    requests: part.requests.len(),
-                });
-            }
-            let want = part.program.num_inputs();
-            if let Some((i, req)) = part
-                .requests
-                .iter()
-                .enumerate()
-                .find(|(_, r)| r.len() != want)
-            {
-                return Err(DeviceError::InputArity {
-                    request: i,
-                    got: req.len(),
-                    want,
-                });
-            }
-        }
-        let loads: Vec<(&PlacementPlan, &[Vec<bool>])> = plan
+        let wave: Vec<WavePart<'_>> = plan
             .parts()
             .iter()
             .zip(parts)
-            .map(|(sub, part)| (sub, part.requests))
+            .map(|(sub, part)| WavePart {
+                program: part.program,
+                plan: sub,
+                inputs: Some(InputRows::Vecs(part.requests)),
+            })
             .collect();
-        let execs: Vec<(&CompiledProgram, &PlacementPlan)> = plan
-            .parts()
-            .iter()
-            .zip(parts)
-            .map(|(sub, part)| (part.program, sub))
-            .collect();
-        if let Some(hook) = self.fault_hook.as_mut() {
-            hook(&mut self.memory);
-        }
-        self.execute_parts_checked(&execs, &loads)
+        self.run_wave(&wave)
     }
 
     /// Loads every part's requests into its planned slots, merging all
@@ -1272,19 +1319,17 @@ impl PimDevice {
     /// bits per store, no per-cell tuples); other configurations stage
     /// sparse cell lists per line. Both machine entry points are bit- and
     /// stats-identical to per-line driven writes.
-    fn load_inputs(
-        &mut self,
-        axis: Axis,
-        parts: &[(&PlacementPlan, &[Vec<bool>])],
-    ) -> Result<(), DeviceError> {
+    fn load_inputs(&mut self, axis: Axis, parts: &[WavePart<'_>]) -> Result<(), DeviceError> {
         let written = if self.memory.supports_fused_rows() {
             let stride = self.capacity().div_ceil(64);
             self.plane_msk.resize(self.capacity() * stride, 0);
             self.plane_val.resize(self.capacity() * stride, 0);
             self.plane_touched.resize(self.capacity().div_ceil(64), 0);
             self.touched_lines.clear();
-            for &(plan, requests) in parts {
-                for (slot, req) in plan.slots().iter().zip(requests) {
+            for part in parts {
+                let Some(rows) = part.inputs else { continue };
+                for (i, slot) in part.plan.slots().iter().enumerate() {
+                    let req = rows.get(i);
                     let (tw, tb) = (slot.line / 64, 1u64 << (slot.line % 64));
                     if self.plane_touched[tw] & tb == 0 {
                         self.plane_touched[tw] |= tb;
@@ -1345,8 +1390,10 @@ impl PimDevice {
                 self.line_loads.resize_with(self.capacity(), Vec::new);
             }
             self.touched_lines.clear();
-            for &(plan, requests) in parts {
-                for (slot, req) in plan.slots().iter().zip(requests) {
+            for part in parts {
+                let Some(rows) = part.inputs else { continue };
+                for (i, slot) in part.plan.slots().iter().enumerate() {
+                    let req = rows.get(i);
                     let cells = &mut self.line_loads[slot.line];
                     if cells.is_empty() {
                         self.touched_lines.push(slot.line);
@@ -1372,6 +1419,25 @@ impl PimDevice {
             written
         };
         Ok(written?)
+    }
+}
+
+/// A one-part wave's outcome in the single-program [`BatchOutcome`] shape.
+fn single_part(wave: MultiBatchOutcome, plan: &PlacementPlan) -> BatchOutcome {
+    let MultiBatchOutcome {
+        mut parts,
+        input_check,
+        stats,
+        gate_evals,
+        uncorrectable_input,
+    } = wave;
+    BatchOutcome {
+        outputs: parts.pop().expect("single-part execution yields one arena"),
+        placement: plan.clone(),
+        input_check,
+        stats,
+        gate_evals,
+        uncorrectable_input,
     }
 }
 

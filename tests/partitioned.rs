@@ -9,7 +9,9 @@ use pimecc::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The flagship oversized workload: 16×16 → 32-bit product.
 fn mul16_nor() -> pimecc::netlist::NorNetlist {
@@ -162,6 +164,72 @@ fn partitioned_and_ordinary_traffic_share_one_flush() {
         Some(to_bits(63 * 63, 12).as_slice())
     );
     assert_eq!(cluster.pending(), 0);
+}
+
+#[test]
+fn merged_results_keep_the_latency_contract_across_sub_program_retries() {
+    // One double-bit strike on shard 0 before its first wave: the
+    // sub-requests on the struck block-line are suppressed and retried,
+    // so some requests need a second attempt of one sub-program. The
+    // merged result must still read like any other ticket's: one latency
+    // entry per attempt, summed over the request's sub-programs, and an
+    // execute latency that is their total.
+    let armed = Arc::new(AtomicBool::new(true));
+    let flag = Arc::clone(&armed);
+    let mut cluster = PimClusterBuilder::new(2, 30, 3)
+        .shard_fault_hook(0, move |pm| {
+            if flag.swap(false, Ordering::Relaxed) {
+                pm.inject_fault(0, 0);
+                pm.inject_fault(0, 1);
+            }
+        })
+        .build()
+        .expect("cluster");
+    let program = cluster
+        .compile_partitioned(&mul(6).to_nor())
+        .expect("partitions");
+    let pairs: Vec<(u128, u128)> = (0..8u128)
+        .map(|i| (i * 9 % 64, (i * 23 + 5) % 64))
+        .collect();
+    let tickets: Vec<Ticket> = pairs
+        .iter()
+        .map(|&(x, y)| {
+            cluster
+                .submit_partitioned(&program, mul_inputs(6, x, y))
+                .expect("submits")
+        })
+        .collect();
+    let outcome = cluster.flush().expect("flushes");
+
+    assert!(
+        outcome.failed.is_empty(),
+        "one strike fits the retry budget"
+    );
+    assert!(outcome.retries >= 1, "the strike must force a retry");
+    assert_eq!(outcome.requests(), pairs.len());
+    let mut retried = 0;
+    for (t, &(x, y)) in tickets.iter().zip(&pairs) {
+        let r = outcome
+            .results
+            .iter()
+            .find(|r| r.ticket == *t)
+            .expect("served");
+        assert_eq!(r.outputs, to_bits(x * y, 12), "{x} * {y}");
+        assert_eq!(
+            r.attempt_latencies.len(),
+            r.attempts as usize,
+            "one latency entry per attempt ({t})"
+        );
+        assert_eq!(
+            r.execute_latency,
+            r.attempt_latencies.iter().sum::<Duration>(),
+            "execute latency is the total over attempts and sub-programs ({t})"
+        );
+        if r.attempts > 1 {
+            retried += 1;
+        }
+    }
+    assert!(retried >= 1, "some request must have retried a sub-program");
 }
 
 fn mul_inputs(width: usize, x: u128, y: u128) -> Vec<bool> {
