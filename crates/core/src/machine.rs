@@ -2023,32 +2023,6 @@ impl ProtectedMemory {
         }
     }
 
-    /// Up-front validation shared by the batched load paths: every listed
-    /// line and every cell coordinate must be in range. Nothing has been
-    /// written when an error is returned.
-    fn validate_batched(
-        &self,
-        axis: LineAxis,
-        lines: &[usize],
-        loads: &[Vec<(usize, bool)>],
-    ) -> Result<()> {
-        let n = self.geom.n();
-        for &line in lines {
-            if line >= n {
-                let (row, col) = match axis {
-                    LineAxis::Row => (line, 0),
-                    LineAxis::Col => (0, line),
-                };
-                return Err(CoreError::OutOfBounds { row, col, n });
-            }
-            if let Some(&(cross, _)) = loads[line].iter().find(|&&(x, _)| x >= n) {
-                let (row, col) = axis.cell(line, cross);
-                return Err(CoreError::OutOfBounds { row, col, n });
-            }
-        }
-        Ok(())
-    }
-
     /// Flushes the dirty block-column accumulators (`blkcol_buf`) of one
     /// block-row group into the CMEM — the counter sums are bit-reversed
     /// once here, not per line — and resets them for the next group.
@@ -2113,181 +2087,12 @@ impl ProtectedMemory {
         }
     }
 
-    /// Batched form of [`ProtectedMemory::write_row_cells`]: drives every
-    /// listed row's sparse load (`loads[row]`) in one sweep. State,
-    /// [`MachineStats`] and crossbar statistics are bit-identical to calling
-    /// the per-line API once per listed row, in any order — writes to
-    /// distinct lines commute and ECC updates are XORs — but the batched
-    /// sweep packs each line's cells straight into stack words and
-    /// accumulates the ECC deltas per block-row instead of flushing (and
-    /// bit-reversing) per line. Ineligible machines (scalar engine, partial
-    /// coverage, pre-write checking, `m > 63`) fall back to the per-line
-    /// path. All loads are validated before anything is written.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::OutOfBounds`] if a listed row or a cell column is out
-    /// of range (nothing written).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loads` is shorter than `lines` requires (`loads` is
-    /// indexed by line number).
-    pub fn write_rows_cells_batched(
-        &mut self,
-        lines: &[usize],
-        loads: &[Vec<(usize, bool)>],
-    ) -> Result<()> {
-        self.unclamp_stuck();
-        let out = self.write_rows_cells_batched_driven(lines, loads);
-        self.clamp_stuck();
-        out
-    }
-
-    fn write_rows_cells_batched_driven(
-        &mut self,
-        lines: &[usize],
-        loads: &[Vec<(usize, bool)>],
-    ) -> Result<()> {
-        self.validate_batched(LineAxis::Row, lines, loads)?;
-        if !self.supports_fused_rows() {
-            for &r in lines {
-                self.write_line_cells(LineAxis::Row, r, &loads[r])?;
-            }
-            return Ok(());
-        }
-        let (m, stride) = (self.geom.m(), self.stride());
-        let mmask = (1u64 << m) - 1;
-        let bps = self.geom.blocks_per_side();
-        self.sorted_buf.clear();
-        self.sorted_buf
-            .extend(lines.iter().copied().filter(|&r| !loads[r].is_empty()));
-        self.sorted_buf.sort_unstable();
-        self.eccacc_buf.clear();
-        self.eccacc_buf.resize(bps, (0, 0));
-        self.blkcol_buf.clear();
-        let mut cur_br = usize::MAX;
-        for idx in 0..self.sorted_buf.len() {
-            let r = self.sorted_buf[idx];
-            let br = r / m;
-            if br != cur_br {
-                self.flush_ecc_group(cur_br, m);
-                cur_br = br;
-            }
-            let mut cm = [0u64; MAX_FUSED_STRIDE];
-            let mut nv = [0u64; MAX_FUSED_STRIDE];
-            for &(c, v) in &loads[r] {
-                let (wi, bit) = (c / 64, 1u64 << (c % 64));
-                cm[wi] |= bit;
-                if v {
-                    nv[wi] |= bit;
-                } else {
-                    nv[wi] &= !bit;
-                }
-            }
-            let mut chg = [0u64; MAX_FUSED_STRIDE];
-            {
-                let row = self.mem.grid().row_words(r);
-                for wi in 0..stride {
-                    if cm[wi] != 0 {
-                        chg[wi] = (row[wi] ^ nv[wi]) & cm[wi];
-                    }
-                }
-            }
-            self.mem
-                .write_row_words_masked(r, &nv[..stride], &cm[..stride]);
-            self.stats.mem_cycles += 1;
-            self.bill_critical();
-            self.accumulate_row_ecc(r, &cm, &chg, m, mmask, stride, bps);
-        }
-        self.flush_ecc_group(cur_br, m);
-        Ok(())
-    }
-
-    /// Batched form of [`ProtectedMemory::write_col_cells`] — the transpose
-    /// of [`ProtectedMemory::write_rows_cells_batched`], with one extra
-    /// twist: column stores are strided bit-scatters, so the batched sweep
-    /// first *transposes* every column's cells into reusable row-major
-    /// staging planes and then drives each touched row with a single masked
-    /// word store. Distinct columns never alias a cell, the masked stores
-    /// are zero-cycle on the crossbar either way, and billing stays one MEM
-    /// cycle plus one critical protocol per driven (non-empty) column, so
-    /// state and statistics are bit-identical to the per-column path.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::OutOfBounds`] if a listed column or a cell row is out
-    /// of range (nothing written).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loads` is shorter than `lines` requires (`loads` is
-    /// indexed by line number).
-    pub fn write_cols_cells_batched(
-        &mut self,
-        lines: &[usize],
-        loads: &[Vec<(usize, bool)>],
-    ) -> Result<()> {
-        self.unclamp_stuck();
-        let out = self.write_cols_cells_batched_driven(lines, loads);
-        self.clamp_stuck();
-        out
-    }
-
-    fn write_cols_cells_batched_driven(
-        &mut self,
-        lines: &[usize],
-        loads: &[Vec<(usize, bool)>],
-    ) -> Result<()> {
-        self.validate_batched(LineAxis::Col, lines, loads)?;
-        if !self.supports_fused_rows() {
-            for &c in lines {
-                self.write_line_cells(LineAxis::Col, c, &loads[c])?;
-            }
-            return Ok(());
-        }
-        let (n, m, stride) = (self.geom.n(), self.geom.m(), self.stride());
-        let mmask = (1u64 << m) - 1;
-        let bps = self.geom.blocks_per_side();
-        self.stage_val.resize(n * stride, 0);
-        self.stage_msk.resize(n * stride, 0);
-        self.stage_rows.resize(n.div_ceil(64), 0);
-        let mut driven = 0u64;
-        for &c in lines {
-            let cells = &loads[c];
-            if cells.is_empty() {
-                continue;
-            }
-            let (wi, bit) = (c / 64, 1u64 << (c % 64));
-            for &(r, v) in cells {
-                let base = r * stride + wi;
-                self.stage_msk[base] |= bit;
-                if v {
-                    self.stage_val[base] |= bit;
-                } else {
-                    self.stage_val[base] &= !bit;
-                }
-                self.stage_rows[r / 64] |= 1u64 << (r % 64);
-            }
-            driven += 1;
-        }
-        // Per-column billing, exactly as the per-line path: one MEM cycle
-        // plus one critical protocol per driven column (full coverage makes
-        // every non-empty column critical).
-        self.stats.mem_cycles += 3 * driven;
-        self.stats.transfer_cycles += 2 * driven;
-        self.stats.pc_xor3_ops += 2 * driven;
-        self.stats.critical_ops += driven;
-        self.drive_staged_rows(m, mmask, stride, bps);
-        Ok(())
-    }
-
     /// Drives every row flagged in `stage_rows` with the masked word held
     /// in the row-major staging planes, restoring the planes to all-zero
-    /// as it goes; ECC deltas accumulate per block-row. Shared tail of the
-    /// column-axis batched writers — column billing has already been done
-    /// by the caller, so this only performs the (zero-cycle) masked stores
-    /// and the CMEM updates.
+    /// as it goes; ECC deltas accumulate per block-row. The tail of
+    /// [`ProtectedMemory::write_cols_words_batched`] — column billing has
+    /// already been done by the caller, so this only performs the
+    /// (zero-cycle) masked stores and the CMEM updates.
     fn drive_staged_rows(&mut self, m: usize, mmask: u64, stride: usize, bps: usize) {
         self.eccacc_buf.clear();
         self.eccacc_buf.resize(bps, (0, 0));
@@ -2328,15 +2133,15 @@ impl ProtectedMemory {
         self.flush_ecc_group(cur_br, m);
     }
 
-    /// Word-plane form of [`ProtectedMemory::write_rows_cells_batched`]:
-    /// the loads arrive already packed into row-major bit planes — word `w`
-    /// of row `r` lives at `r * stride + w` of `masks`/`vals` — instead of
-    /// sparse `(col, bool)` lists, skipping the per-cell scatter entirely.
-    /// Every set `vals` bit must have its `masks` bit set. Listed rows with
-    /// an all-zero mask are not driven (and not billed), exactly like an
-    /// empty cell list. Touched plane words are restored to zero, so a
-    /// caller can reuse the planes allocation-free. State and statistics
-    /// are bit-identical to the cells path.
+    /// Batched word-plane form of [`ProtectedMemory::write_row_cells`]:
+    /// drives every listed row in one sweep, its load already packed into
+    /// row-major bit planes — word `w` of row `r` lives at `r * stride + w`
+    /// of `masks`/`vals` — instead of a sparse `(col, bool)` list. Every
+    /// set `vals` bit must have its `masks` bit set. Listed rows with an
+    /// all-zero mask are not driven (and not billed), exactly like an empty
+    /// cell list. Touched plane words are restored to zero, so a caller can
+    /// reuse the planes allocation-free. State and statistics are
+    /// bit-identical to one `write_row_cells` per listed row.
     ///
     /// # Errors
     ///
@@ -2430,7 +2235,7 @@ impl ProtectedMemory {
         Ok(())
     }
 
-    /// Word-plane form of [`ProtectedMemory::write_cols_cells_batched`]:
+    /// Batched word-plane form of [`ProtectedMemory::write_col_cells`]:
     /// the loads arrive packed into *column-major* bit planes — word `rw`
     /// of column `c` (covering rows `64·rw ..`) lives at `c * stride + rw`
     /// — and the sweep transposes them 64×64 tile by tile into the
@@ -2438,7 +2243,7 @@ impl ProtectedMemory {
     /// Every set `vals` bit must have its `masks` bit set. Listed columns
     /// with an all-zero mask are not driven (and not billed). Touched plane
     /// words are restored to zero. State and statistics are bit-identical
-    /// to the cells path.
+    /// to one `write_col_cells` per listed column.
     ///
     /// # Errors
     ///
@@ -2528,7 +2333,7 @@ impl ProtectedMemory {
                 }
             }
         }
-        // Per-column billing, exactly as the cells path.
+        // Per-column billing, exactly as `write_col_cells`.
         self.stats.mem_cycles += 3 * driven;
         self.stats.transfer_cycles += 2 * driven;
         self.stats.pc_xor3_ops += 2 * driven;

@@ -13,6 +13,7 @@
 use crate::builder::NetlistBuilder;
 use crate::gate::{Gate, NodeId};
 use crate::netlist::Netlist;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Errors raised while parsing AAG text.
@@ -52,6 +53,8 @@ pub enum AigError {
         /// The variable index.
         variable: u64,
     },
+    /// The header declares no outputs: a netlist needs at least one.
+    NoOutputs,
 }
 
 impl fmt::Display for AigError {
@@ -74,6 +77,7 @@ impl fmt::Display for AigError {
             AigError::UndefinedVariable { variable } => {
                 write!(f, "variable {variable} is never defined")
             }
+            AigError::NoOutputs => write!(f, "aag declares no outputs"),
         }
     }
 }
@@ -125,16 +129,21 @@ pub fn parse_aag(text: &str) -> Result<Netlist, AigError> {
     if num_latch != 0 {
         return Err(AigError::HasLatches { latches: num_latch });
     }
+    if num_out == 0 {
+        return Err(AigError::NoOutputs);
+    }
 
     let mut b = NetlistBuilder::new();
     // var index -> positive-polarity node (var 0 is the constant FALSE).
-    let mut nodes: Vec<Option<NodeId>> = vec![None; max_var as usize + 1];
-    nodes[0] = Some(b.constant(false));
+    // A map, not a table sized by the header: nothing is allocated for a
+    // count the text does not back with lines.
+    let mut nodes: HashMap<u64, NodeId> = HashMap::new();
+    nodes.insert(0, b.constant(false));
 
     let read_numbers = |expected: usize,
                         lines: &mut std::iter::Enumerate<std::str::Lines<'_>>|
      -> Result<Vec<(usize, Vec<u64>)>, AigError> {
-        let mut out = Vec::with_capacity(expected);
+        let mut out = Vec::new();
         while out.len() < expected {
             let Some((i, raw)) = lines.next() else {
                 return Err(AigError::BadLine {
@@ -180,7 +189,7 @@ pub fn parse_aag(text: &str) -> Result<Netlist, AigError> {
             });
         }
         let node = b.input();
-        nodes[(lit / 2) as usize] = Some(node);
+        nodes.insert(lit / 2, node);
     }
 
     // Outputs (literals, possibly negated) — resolved after ANDs.
@@ -203,13 +212,13 @@ pub fn parse_aag(text: &str) -> Result<Netlist, AigError> {
                 });
             }
         }
-        if lhs % 2 != 0 || nodes[(lhs / 2) as usize].is_some() {
+        if lhs % 2 != 0 || nodes.contains_key(&(lhs / 2)) {
             return Err(AigError::BadAndOutput { literal: *lhs });
         }
         let a = literal_node(&mut b, &nodes, *rhs0)?;
         let c = literal_node(&mut b, &nodes, *rhs1)?;
         let node = b.and(a, c);
-        nodes[(lhs / 2) as usize] = Some(node);
+        nodes.insert(lhs / 2, node);
     }
 
     for (line, vals) in &output_lines {
@@ -234,13 +243,13 @@ pub fn parse_aag(text: &str) -> Result<Netlist, AigError> {
 /// Resolves an AIGER literal (variable + polarity) to a netlist node.
 fn literal_node(
     b: &mut NetlistBuilder,
-    nodes: &[Option<NodeId>],
+    nodes: &HashMap<u64, NodeId>,
     literal: u64,
 ) -> Result<NodeId, AigError> {
-    let var = (literal / 2) as usize;
-    let node = nodes[var].ok_or(AigError::UndefinedVariable {
-        variable: var as u64,
-    })?;
+    let var = literal / 2;
+    let node = *nodes
+        .get(&var)
+        .ok_or(AigError::UndefinedVariable { variable: var })?;
     Ok(if literal % 2 == 1 { b.not(node) } else { node })
 }
 
@@ -459,6 +468,25 @@ mod tests {
                 assert_eq!(round.eval(&inputs), c.netlist.eval(&inputs), "{bench}");
             }
         }
+    }
+
+    #[test]
+    fn header_without_outputs_is_an_error() {
+        assert_eq!(
+            parse_aag("aag 0 0 0 0 0\n").unwrap_err(),
+            AigError::NoOutputs
+        );
+    }
+
+    #[test]
+    fn header_counts_beyond_the_text_are_errors_not_allocations() {
+        // Neither count is backed by lines: nothing may be sized by it.
+        let max_var = format!("aag {} 1 0 1 0\n2\n2\n", u64::MAX);
+        assert_eq!(parse_aag(&max_var).expect("parses").eval(&[true]), [true]);
+        assert!(matches!(
+            parse_aag("aag 3 99999999999 0 1 0\n2\n").unwrap_err(),
+            AigError::BadLine { .. }
+        ));
     }
 
     #[test]

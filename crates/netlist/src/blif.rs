@@ -60,6 +60,8 @@ pub enum BlifError {
         /// Its input count.
         inputs: usize,
     },
+    /// The model declares no `.outputs`: a netlist needs at least one.
+    NoOutputs,
 }
 
 impl fmt::Display for BlifError {
@@ -80,6 +82,7 @@ impl fmt::Display for BlifError {
             BlifError::TooManyInputs { name, inputs } => {
                 write!(f, "signal {name} has {inputs} cover inputs (max 16)")
             }
+            BlifError::NoOutputs => write!(f, "model declares no outputs"),
         }
     }
 }
@@ -276,6 +279,9 @@ fn tokenize(text: &str) -> Result<RawModel, BlifError> {
 /// Elaborates the raw model into a netlist: resolves signal dependencies
 /// topologically and synthesizes each cover via Shannon decomposition.
 fn elaborate(raw: &RawModel) -> Result<Netlist, BlifError> {
+    if raw.outputs.is_empty() {
+        return Err(BlifError::NoOutputs);
+    }
     let mut b = NetlistBuilder::new();
     let mut env: HashMap<String, NodeId> = HashMap::new();
     for name in &raw.inputs {
@@ -652,6 +658,14 @@ mod tests {
                 assert_eq!(back.eval(&ins), circuit.netlist.eval(&ins), "{bench}");
             }
         }
+    }
+
+    #[test]
+    fn model_without_outputs_is_an_error() {
+        assert_eq!(
+            parse_blif(".model m\n.inputs a\n.end\n").unwrap_err(),
+            BlifError::NoOutputs
+        );
     }
 
     #[test]

@@ -1,18 +1,15 @@
 //! Host-side wall-clock throughput of the simulator itself: the PR-3 mixed
 //! cluster workload (1020 adder8 + 510 int2float on one 255×255/5 shard,
-//! 2D-packed) swept across the two host knobs that exist after the
-//! intra-shard parallelism work — the kernel lane config ([`SimEngine`]:
-//! scalar cell-at-a-time vs 64-bit-word × 4-row-lane kernels) and the
-//! row-team width ([`PimClusterBuilder::threads`]: 1/2/4/8) — plus a
+//! 2D-packed) under both kernel lane configs ([`SimEngine`]: scalar
+//! cell-at-a-time vs 64-bit-word × 4-row-lane kernels) — plus a
 //! large-geometry run at the paper's n=1020, m=15 configuration that only
 //! the word-parallel engine makes practical.
 //!
-//! The cost *model* is engine- and thread-independent: every sweep point
-//! must produce bit-identical outputs, placements, `MachineStats` and
-//! input-check reports. Only requests/second differs; the sweep records
-//! the whole scaling curve and the run fails if the best word-parallel
-//! point is not at least 2× the scalar reference (the CI floor; the
-//! committed reference run records the full figures).
+//! The cost *model* is engine-independent: both points must produce
+//! bit-identical outputs, placements, `MachineStats` and input-check
+//! reports. Only requests/second differs; the run fails if the
+//! word-parallel point is not at least 2× the scalar reference (the CI
+//! floor; the committed reference run records the full figures).
 //!
 //! The steady-state points are measured on a *warm* cluster over batched
 //! submissions ([`PimCluster::submit_batch`]), so the recorded figure is
@@ -21,7 +18,7 @@
 //!
 //! Run with: `cargo run --release --example host_throughput`
 //!
-//! Writes the scaling curve to `BENCH_host.json`.
+//! Writes both points to `BENCH_host.json`.
 
 use pimecc::netlist::generators::{ripple_adder, Benchmark};
 use pimecc::prelude::*;
@@ -36,9 +33,6 @@ const I2F_REQUESTS: usize = 2 * N; // 510
 /// with the word-parallel engine.
 const BIG_N: usize = 1020;
 const BIG_M: usize = 15;
-
-/// Row-team widths swept per lane config.
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Timed repetitions per steady-state sweep point; the fastest run is the
 /// recorded figure (the usual defense against scheduler noise on shared
@@ -69,28 +63,23 @@ fn lane_label(engine: SimEngine) -> &'static str {
 /// One measured sweep point.
 struct SweepPoint {
     engine: SimEngine,
-    threads: usize,
     best_req_per_sec: f64,
     median_req_per_sec: f64,
     /// First-flush outcome, for the cross-config bit-identity assertions.
     outcome: ClusterOutcome,
 }
 
-/// Runs the mixed workload on a fresh cluster with the given knobs:
+/// Runs the mixed workload on a fresh cluster with the given engine:
 /// one untimed first flush (captured for identity checks), warm-up
 /// flushes, then `TIMED_REPS` timed submit_batch+flush cycles.
 fn run_point(
     engine: SimEngine,
-    threads: usize,
     adder_nor: &pimecc::netlist::NorNetlist,
     i2f_nor: &pimecc::netlist::NorNetlist,
     add_reqs: &[Vec<bool>],
     i2f_reqs: &[Vec<bool>],
 ) -> Result<SweepPoint, Box<dyn std::error::Error>> {
-    let mut cluster = PimClusterBuilder::new(1, N, M)
-        .engine(engine)
-        .threads(threads)
-        .build()?;
+    let mut cluster = PimClusterBuilder::new(1, N, M).engine(engine).build()?;
     let pa = cluster.compile_packed(adder_nor)?;
     let pi = cluster.compile_packed(i2f_nor)?;
 
@@ -123,15 +112,13 @@ fn run_point(
     let median = seconds[seconds.len() / 2];
     let point = SweepPoint {
         engine,
-        threads,
         best_req_per_sec: requests as f64 / best,
         median_req_per_sec: requests as f64 / median,
         outcome,
     };
     println!(
-        "{:>9} x{} threads: best {:>9.0} req/s  median {:>9.0} req/s  ({} reqs/flush, {} waves)",
+        "{:>9}: best {:>9.0} req/s  median {:>9.0} req/s  ({} reqs/flush, {} waves)",
         lane_label(engine),
-        threads,
         point.best_req_per_sec,
         point.median_req_per_sec,
         requests,
@@ -143,11 +130,10 @@ fn run_point(
 fn json_point(p: &SweepPoint) -> String {
     format!(
         concat!(
-            "    {{\"lanes\": \"{}\", \"threads\": {}, ",
+            "    {{\"lanes\": \"{}\", ",
             "\"best_req_per_sec\": {:.0}, \"median_req_per_sec\": {:.0}}}"
         ),
         lane_label(p.engine),
-        p.threads,
         p.best_req_per_sec,
         p.median_req_per_sec,
     )
@@ -156,7 +142,7 @@ fn json_point(p: &SweepPoint) -> String {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "host throughput: {ADDER_REQUESTS} x adder8 + {I2F_REQUESTS} x int2float, \
-         one {N}x{N}/{M} shard, lane config x row-team width sweep\n"
+         one {N}x{N}/{M} shard, scalar vs word-parallel lanes\n"
     );
     let i2f = Benchmark::Int2float.build();
     let i2f_nor = i2f.netlist.to_nor();
@@ -167,20 +153,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut sweep: Vec<SweepPoint> = Vec::new();
     for engine in [SimEngine::ScalarReference, SimEngine::WordParallel] {
-        for threads in THREAD_SWEEP {
-            sweep.push(run_point(
-                engine, threads, &adder_nor, &i2f_nor, &add_reqs, &i2f_reqs,
-            )?);
-        }
+        sweep.push(run_point(
+            engine, &adder_nor, &i2f_nor, &add_reqs, &i2f_reqs,
+        )?);
     }
 
-    // Every sweep point must be indistinguishable from the scalar
-    // single-thread reference in everything but wall time: same outputs
-    // and placements per ticket, same machine accounting, same model
-    // clocks, same input-check verdicts.
+    // The word-parallel point must be indistinguishable from the scalar
+    // reference in everything but wall time: same outputs and placements
+    // per ticket, same machine accounting, same model clocks, same
+    // input-check verdicts.
     let reference = &sweep[0].outcome;
     for point in &sweep[1..] {
-        let label = format!("{} x{}", lane_label(point.engine), point.threads);
+        let label = lane_label(point.engine);
         assert_eq!(
             reference.results, point.outcome.results,
             "{label}: per-ticket outputs/placements diverged from the scalar reference"
@@ -207,10 +191,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         assert_eq!(result.outputs, want, "reference output mismatch at {i}");
     }
-    println!(
-        "\nall {} sweep points bit-identical to the scalar reference",
-        sweep.len()
-    );
+    println!("\nword-parallel point bit-identical to the scalar reference");
 
     let scalar_best = sweep
         .iter()
@@ -224,10 +205,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("word-parallel points exist");
     let speedup = headline.best_req_per_sec / scalar_best;
     println!(
-        "best mixed-workload point: {:.0} req/s ({} x{} threads), {speedup:.2}x the scalar reference",
+        "best mixed-workload point: {:.0} req/s ({}), {speedup:.2}x the scalar reference",
         headline.best_req_per_sec,
         lane_label(headline.engine),
-        headline.threads,
     );
     assert!(
         speedup >= 2.0,
@@ -280,7 +260,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  \"geometry\": {{\"n\": {}, \"m\": {}, \"shards\": 1}},\n",
             "  \"traffic\": {{\"adder8\": {}, \"int2float\": {}}},\n",
             "  \"mixed_best_req_per_sec\": {:.0},\n",
-            "  \"mixed_best_config\": {{\"lanes\": \"{}\", \"threads\": {}}},\n",
+            "  \"mixed_best_config\": {{\"lanes\": \"{}\"}},\n",
             "  \"speedup_wall_clock\": {:.3},\n",
             "  \"sweep\": [\n{}\n  ],\n",
             "  \"large_geometry\": {{\"n\": {}, \"m\": {}, \"adder8\": {}, \"int2float\": {}, ",
@@ -292,7 +272,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         I2F_REQUESTS,
         headline.best_req_per_sec,
         lane_label(headline.engine),
-        headline.threads,
         speedup,
         sweep_json.join(",\n"),
         BIG_N,

@@ -2,23 +2,19 @@
 //! distribution on a heterogeneous pool — the workload that cratered
 //! utilization when every wave carried a single fingerprint.
 //!
-//! Four configurations serve the *same* request stream:
+//! Three configurations serve the *same* request stream:
 //!
 //! * `colocated` — the full scheduler: spread, densify, then pass-3
-//!   co-location of foreign fingerprints onto claimed shards via
-//!   `MultiProgramPlan` (merged input load, shared block-line checks).
-//! * `fingerprint/wave` — `colocate(false)`: the pre-PR-10 scheduler,
-//!   one fingerprint group per shard per wave.
-//! * `row-only` — additionally `pack_limit(1)` + row axis: the PR-2
-//!   floor, one request per row.
+//!   co-location of foreign fingerprints onto claimed shards as extra
+//!   parts of their waves (merged input load, shared block-line checks).
+//! * `row-only` — `pack_limit(1)` + row axis: one request per row.
 //! * `mixed 2-program` — the same pool serving the classic two-program
 //!   mixed workload (adder8 + int2float) at the same request count: the
 //!   utilization yardstick the long tail is held against.
 //!
 //! Asserts every output bit-exact against the host references, the
-//! co-located outputs bit-identical to the fingerprint-per-wave serial
-//! reference, >= 2x fewer waves than that baseline (>= 1.5x vs
-//! row-only), and cell utilization >= 0.8x the two-program figure.
+//! co-located outputs bit-identical to the row-only run, and cell
+//! utilization >= 0.8x the two-program figure.
 //!
 //! Run with: `cargo run --release --example longtail_throughput`
 //!
@@ -198,31 +194,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let colocated = run_longtail("colocated", &circuits, &nors, &stream, |b| b)?;
-    let serial = run_longtail("fingerprint/wave", &circuits, &nors, &stream, |b| {
-        b.colocate(false)
-    })?;
     let rowonly = run_longtail("row-only", &circuits, &nors, &stream, |b| {
-        b.colocate(false)
-            .pack_limit(1)
-            .axis_policy(AxisPolicy::Rows)
+        b.pack_limit(1).axis_policy(AxisPolicy::Rows)
     })?;
     let mixed = run_mixed_reference()?;
 
     assert_eq!(
-        colocated.outputs, serial.outputs,
-        "co-location must be bit-identical to the serial reference"
-    );
-    assert!(
-        colocated.waves * 2 <= serial.waves,
-        "co-location must merge >= 2x the fingerprint-per-wave waves: {} vs {}",
-        colocated.waves,
-        serial.waves
-    );
-    assert!(
-        colocated.waves * 3 <= rowonly.waves * 2,
-        "co-location must run >= 1.5x fewer waves than row-only: {} vs {}",
-        colocated.waves,
-        rowonly.waves
+        colocated.outputs, rowonly.outputs,
+        "co-location must be bit-identical to the row-only run"
     );
     let utilization_ratio = colocated.cell_utilization / mixed.cell_utilization;
     assert!(
@@ -232,11 +211,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         colocated.cell_utilization,
         mixed.cell_utilization
     );
-    println!(
-        "\nco-location: {:.1}x fewer waves than fingerprint-per-wave, \
-         {utilization_ratio:.2}x the 2-program mixed utilization",
-        serial.waves as f64 / colocated.waves as f64,
-    );
+    println!("\nco-location: {utilization_ratio:.2}x the 2-program mixed utilization");
 
     let json_run = |r: &RunReport| {
         format!(
@@ -253,10 +228,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{{\n  \"bench\": \"longtail_throughput\",\n",
             "  \"programs\": {},\n  \"requests\": {},\n  \"zipf_s\": {},\n",
             "  \"geometries\": [{}],\n",
-            "  \"waves_vs_fingerprint_per_wave\": {:.2},\n",
             "  \"cell_utilization_vs_mixed\": {:.3},\n",
-            "  \"outputs_match_serial_reference\": true,\n",
-            "  \"runs\": [\n{},\n{},\n{},\n{}\n  ]\n}}\n"
+            "  \"outputs_match_row_only\": true,\n",
+            "  \"runs\": [\n{},\n{},\n{}\n  ]\n}}\n"
         ),
         circuits.len(),
         REQUESTS,
@@ -266,10 +240,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|(n, m)| format!("[{n}, {m}]"))
             .collect::<Vec<_>>()
             .join(", "),
-        serial.waves as f64 / colocated.waves as f64,
         utilization_ratio,
         json_run(&colocated),
-        json_run(&serial),
         json_run(&rowonly),
         json_run(&mixed),
     );

@@ -15,8 +15,6 @@ pub enum ClusterError {
     ZeroFlushThreshold,
     /// The per-line co-packing limit must admit at least one request.
     ZeroPackLimit,
-    /// The per-shard worker team must have at least one thread.
-    ZeroThreads,
     /// The auto-flush deadline must be a positive duration.
     ZeroFlushDeadline,
     /// The submission-queue bound must admit at least one in-flight
@@ -125,9 +123,6 @@ impl fmt::Display for ClusterError {
             }
             ClusterError::ZeroPackLimit => {
                 write!(f, "pack limit must admit at least one request per line")
-            }
-            ClusterError::ZeroThreads => {
-                write!(f, "worker team must have at least one thread")
             }
             ClusterError::ZeroFlushDeadline => {
                 write!(f, "auto-flush deadline must be a positive duration")

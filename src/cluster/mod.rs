@@ -191,11 +191,9 @@ pub struct PimClusterBuilder {
     recovery_scrubs: Option<u32>,
     adaptive_deadline: bool,
     engine: SimEngine,
-    threads: usize,
     max_retries: Option<u32>,
     retire_after: Option<u32>,
     geometries: Option<Vec<(usize, usize)>>,
-    colocate: bool,
 }
 
 impl std::fmt::Debug for PimClusterBuilder {
@@ -220,11 +218,9 @@ impl std::fmt::Debug for PimClusterBuilder {
             .field("recovery_scrubs", &self.recovery_scrubs)
             .field("adaptive_deadline", &self.adaptive_deadline)
             .field("engine", &self.engine)
-            .field("threads", &self.threads)
             .field("max_retries", &self.max_retries)
             .field("retire_after", &self.retire_after)
             .field("geometries", &self.geometries)
-            .field("colocate", &self.colocate)
             .finish()
     }
 }
@@ -253,11 +249,9 @@ impl PimClusterBuilder {
             recovery_scrubs: None,
             adaptive_deadline: false,
             engine: SimEngine::default(),
-            threads: 1,
             max_retries: None,
             retire_after: None,
             geometries: None,
-            colocate: true,
         }
     }
 
@@ -291,37 +285,12 @@ impl PimClusterBuilder {
         self
     }
 
-    /// Enables or disables the scheduler's co-location pass (default:
-    /// enabled). When enabled, leftover fingerprint groups that found no
-    /// idle shard bin-pack onto the free lines of already-claimed shards
-    /// as extra parts of a multi-program wave
-    /// ([`MultiProgramPlan`](crate::device::MultiProgramPlan)), sharing
-    /// the wave's input-load pass and block-line ECC checks. `false`
-    /// restores the fingerprint-per-wave scheduler — useful as a baseline
-    /// and for the serial-reference comparisons in the test suite.
-    pub fn colocate(mut self, enabled: bool) -> Self {
-        self.colocate = enabled;
-        self
-    }
-
     /// Selects the host simulation engine of every shard (default:
     /// [`SimEngine::WordParallel`]). The scalar reference is bit-identical
     /// but slower; throughput benchmarks select it per run to measure the
     /// word-parallel speedup on the same traffic.
     pub fn engine(mut self, engine: SimEngine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Number of host worker threads **each shard** fans a fused
-    /// row-parallel replay across (default `1`: run inline). This is the
-    /// only host parallelism inside a flush: a wave's shards themselves
-    /// run one after another on the flushing thread. Results, statistics
-    /// and check-bits are bit-identical for every thread count — see
-    /// [`PimDeviceBuilder::threads`]. `0` is rejected at build time with
-    /// [`ClusterError::ZeroThreads`].
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -591,9 +560,6 @@ impl PimClusterBuilder {
         if self.pack_limit == Some(0) {
             return Err(ClusterError::ZeroPackLimit);
         }
-        if self.threads == 0 {
-            return Err(ClusterError::ZeroThreads);
-        }
         if self.auto_flush_at == Some(0) {
             return Err(ClusterError::ZeroFlushThreshold);
         }
@@ -667,8 +633,7 @@ impl PimClusterBuilder {
             let mut builder = PimDeviceBuilder::new(n, m)
                 .check_policy(policy)
                 .coverage(coverage)
-                .engine(self.engine)
-                .threads(self.threads);
+                .engine(self.engine);
             if let Some(strikes) = self.retire_after {
                 builder = builder.retire_after(strikes);
             }
@@ -699,7 +664,6 @@ impl PimClusterBuilder {
             pack_limit: self.pack_limit.unwrap_or(usize::MAX),
             axis_policy: self.axis_policy,
             max_retries: self.max_retries.unwrap_or(2),
-            colocate: self.colocate,
             programs: ProgramCache::default(),
             pending: Vec::new(),
             pending_partitioned: Vec::new(),
@@ -1310,13 +1274,6 @@ mod tests {
                 .build()
                 .unwrap_err(),
             ClusterError::ZeroFlushThreshold
-        );
-        assert_eq!(
-            PimClusterBuilder::new(1, 30, 3)
-                .threads(0)
-                .build()
-                .unwrap_err(),
-            ClusterError::ZeroThreads
         );
         assert_eq!(
             PimClusterBuilder::new(2, 30, 3)
@@ -1985,7 +1942,6 @@ mod tests {
             pack_limit: usize::MAX,
             axis_policy: AxisPolicy::default(),
             max_retries: 2,
-            colocate: true,
             programs: ProgramCache::default(),
             pending: Vec::new(),
             pending_partitioned: Vec::new(),
@@ -2022,7 +1978,6 @@ mod tests {
             pack_limit: usize::MAX,
             axis_policy: AxisPolicy::default(),
             max_retries: 2,
-            colocate: true,
             programs: ProgramCache::default(),
             pending: Vec::new(),
             pending_partitioned: Vec::new(),
@@ -2105,15 +2060,14 @@ mod tests {
     fn colocation_merges_foreign_fingerprints_into_one_wave() {
         let (xor_nor, xor_nl) = xor_circuit();
         let (mux_nor, mux_nl) = mux_circuit();
-        let run = |colocate: bool| {
-            let mut cluster = PimClusterBuilder::new(1, 30, 3)
-                .colocate(colocate)
-                .build()
-                .expect("cluster");
+        // Serves the kept requests of an eight-request stream (even `v`
+        // are xor, odd `v` are mux) on a fresh one-shard pool.
+        let run = |keep: fn(u32) -> bool| {
+            let mut cluster = PimClusterBuilder::new(1, 30, 3).build().expect("cluster");
             let xor = cluster.compile(&xor_nor).expect("compiles");
             let mux = cluster.compile(&mux_nor).expect("compiles");
             let mut expect = Vec::new();
-            for v in 0..8u32 {
+            for v in (0..8u32).filter(|&v| keep(v)) {
                 if v % 2 == 0 {
                     let inputs = vec![v & 2 != 0, v & 4 != 0];
                     let t = cluster.submit(&xor, inputs.clone()).expect("submits");
@@ -2130,13 +2084,16 @@ mod tests {
             }
             outcome
         };
-        let colocated = run(true);
-        let baseline = run(false);
+        let colocated = run(|_| true);
+        // Single-fingerprint traffic never co-locates: each program served
+        // alone is the baseline.
+        let xor_alone = run(|v| v % 2 == 0);
+        let mux_alone = run(|v| v % 2 == 1);
         assert_eq!(
             colocated.waves, 1,
             "one shard, two fingerprints: pass 3 shares the wave"
         );
-        assert_eq!(baseline.waves, 2, "without pass 3 each fingerprint waits");
+        assert_eq!((xor_alone.waves, mux_alone.waves), (1, 1));
         assert_eq!(colocated.shard_reports[0].batches, 1);
         assert!(
             colocated.results.iter().all(|r| r.wave == 0),
@@ -2144,7 +2101,10 @@ mod tests {
         );
         // Sharing the wave shares its block-line pre-checks: the two
         // programs meet inside one block-line at the seam, so the merged
-        // wave checks strictly fewer blocks than the two-wave baseline.
-        assert!(colocated.input_check.checked < baseline.input_check.checked);
+        // wave checks strictly fewer blocks than the two programs alone.
+        assert!(
+            colocated.input_check.checked
+                < xor_alone.input_check.checked + mux_alone.input_check.checked
+        );
     }
 }

@@ -193,11 +193,11 @@ impl Group {
         WavePart {
             program: &self.program,
             plan,
-            inputs: Some(InputRows::Runs {
+            inputs: InputRows::Runs {
                 bits: &self.inputs,
                 width: self.program.num_inputs(),
                 runs,
-            }),
+            },
         }
     }
 

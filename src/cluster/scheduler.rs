@@ -25,10 +25,11 @@
 //! 3. **Co-locate** — leftover groups of *other* fingerprints bin-pack
 //!    onto the free lines of already-claimed shards, first-fit-decreasing
 //!    by footprint (stable in submission order): each placed chunk
-//!    becomes an extra part of that shard's [`MultiProgramPlan`] wave,
-//!    sharing the wave's input-load pass and block-line ECC checks. This
-//!    is what keeps long-tail traffic (twenty programs, a handful of
-//!    requests each) from paying one near-empty wave per fingerprint.
+//!    becomes an extra, line-disjoint part of that shard's wave, sharing
+//!    the wave's input-load pass and block-line ECC checks. This is what
+//!    keeps long-tail traffic (twenty programs, a handful of requests
+//!    each) from paying one near-empty wave per fingerprint. Traffic of
+//!    a single fingerprint leaves this pass nothing to place.
 //!
 //! The wave's axis comes from the cluster's [`AxisPolicy`]; under
 //! [`AxisPolicy::Alternate`] even waves run on columns and odd waves on
@@ -107,10 +108,6 @@ pub(crate) struct PackingKnobs {
     /// dead-lettered as [`ClusterError::RequestFailed`]. Zero means
     /// suspect outputs are still suppressed — they just fail immediately.
     pub(crate) max_retries: u32,
-    /// Whether pass 3 runs: leftover groups of other fingerprints
-    /// bin-pack onto claimed shards as extra [`MultiProgramPlan`] parts.
-    /// Off = the fingerprint-per-wave baseline.
-    pub(crate) colocate: bool,
 }
 
 impl PackingKnobs {
@@ -417,63 +414,61 @@ fn plan_wave(
     // queueing them a near-empty wave each, bin-pack them onto the free
     // lines of the claimed shards, first-fit-decreasing by footprint
     // (stable sort, so equal footprints keep submission order): each
-    // placed chunk becomes an extra part of the shard's multi-program
-    // wave, line-disjoint from the main plan and every earlier extra.
-    if knobs.colocate {
-        let mut leftover: Vec<usize> = (0..groups.len())
-            .filter(|&gi| groups[gi].remaining() > 0)
-            .collect();
-        leftover.sort_by_key(|&gi| std::cmp::Reverse(groups[gi].program.footprint().max(1)));
-        for gi in leftover {
-            for (job, plan) in planned.iter_mut() {
-                let g = &mut groups[gi];
-                if g.remaining() == 0 {
-                    break;
-                }
-                if g.program.program().row_size > job.line_len {
-                    continue;
-                }
-                // Free lines: in-service minus what the main part and
-                // earlier extras hold, capped by the batch-line budget.
-                let committed = plan.lines_occupied()
-                    + job
-                        .extras
-                        .iter()
-                        .map(|e| e.plan.lines_occupied())
-                        .sum::<usize>();
-                let in_service = job.line_len - job.avoid.len();
-                let free = in_service
-                    .saturating_sub(committed)
-                    .min(knobs.batch_limit.saturating_sub(committed));
-                if free == 0 {
-                    continue;
-                }
-                let per_line = knobs.per_line(job.line_len, &g.program);
-                let take = g.remaining().min(free * per_line);
-                let mut avoid = job.avoid.clone();
-                avoid.extend(plan.lines());
-                for e in &job.extras {
-                    avoid.extend(e.plan.lines());
-                }
-                avoid.sort_unstable();
-                avoid.dedup();
-                let extra_plan = PlacementPlan::pack_avoiding(
-                    axis,
-                    job.line_len,
-                    g.program.footprint().max(1),
-                    free,
-                    knobs.pack_limit,
-                    take,
-                    knobs.origin_base + wave,
-                    &avoid,
-                )
-                .expect("co-located chunks fit the free lines by construction");
-                job.extras.push(ExtraPart {
-                    group: gi,
-                    rows: g.take(take),
-                    plan: extra_plan,
-                });
+    // placed chunk becomes an extra part of the shard's wave,
+    // line-disjoint from the main plan and every earlier extra.
+    let mut leftover: Vec<usize> = (0..groups.len())
+        .filter(|&gi| groups[gi].remaining() > 0)
+        .collect();
+    leftover.sort_by_key(|&gi| std::cmp::Reverse(groups[gi].program.footprint().max(1)));
+    for gi in leftover {
+        for (job, plan) in planned.iter_mut() {
+            let g = &mut groups[gi];
+            if g.remaining() == 0 {
+                break;
             }
+            if g.program.program().row_size > job.line_len {
+                continue;
+            }
+            // Free lines: in-service minus what the main part and
+            // earlier extras hold, capped by the batch-line budget.
+            let committed = plan.lines_occupied()
+                + job
+                    .extras
+                    .iter()
+                    .map(|e| e.plan.lines_occupied())
+                    .sum::<usize>();
+            let in_service = job.line_len - job.avoid.len();
+            let free = in_service
+                .saturating_sub(committed)
+                .min(knobs.batch_limit.saturating_sub(committed));
+            if free == 0 {
+                continue;
+            }
+            let per_line = knobs.per_line(job.line_len, &g.program);
+            let take = g.remaining().min(free * per_line);
+            let mut avoid = job.avoid.clone();
+            avoid.extend(plan.lines());
+            for e in &job.extras {
+                avoid.extend(e.plan.lines());
+            }
+            avoid.sort_unstable();
+            avoid.dedup();
+            let extra_plan = PlacementPlan::pack_avoiding(
+                axis,
+                job.line_len,
+                g.program.footprint().max(1),
+                free,
+                knobs.pack_limit,
+                take,
+                knobs.origin_base + wave,
+                &avoid,
+            )
+            .expect("co-located chunks fit the free lines by construction");
+            job.extras.push(ExtraPart {
+                group: gi,
+                rows: g.take(take),
+                plan: extra_plan,
+            });
         }
     }
     // `dispatch_wave` runs jobs in ascending shard order; the retry

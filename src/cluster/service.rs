@@ -130,9 +130,6 @@ pub(crate) struct ClusterCore {
     /// Re-dispatches granted to a ticket whose batch drew an
     /// uncorrectable ECC verdict on its lines before it dead-letters.
     pub(crate) max_retries: u32,
-    /// Whether the scheduler's pass 3 co-locates leftover groups of other
-    /// fingerprints onto claimed shards as multi-program waves.
-    pub(crate) colocate: bool,
     /// Cluster-wide compile cache (netlist / packed / program key
     /// domains), shared in shape with the device layer.
     pub(crate) programs: ProgramCache,
@@ -329,7 +326,6 @@ impl ClusterCore {
             axis_policy: self.axis_policy,
             origin_base: self.waves_dispatched,
             max_retries: self.max_retries,
-            colocate: self.colocate,
         }
     }
 

@@ -115,15 +115,6 @@ impl OutputArena {
     pub fn into_bits(self) -> Vec<bool> {
         self.bits
     }
-
-    /// The pre-arena shape: one freshly allocated `Vec<bool>` per request.
-    #[deprecated(
-        since = "0.10.0",
-        note = "allocates one Vec per request; use `get`, `iter` or `as_bits` on the arena instead"
-    )]
-    pub fn to_vecs(&self) -> Vec<Vec<bool>> {
-        self.iter().map(<[bool]>::to_vec).collect()
-    }
 }
 
 impl std::ops::Index<usize> for OutputArena {
@@ -256,34 +247,25 @@ impl BatchOutcome {
     }
 }
 
-/// Result of one **multi-program** wave
-/// ([`PimDevice::run_multi`](crate::device::PimDevice::run_multi)): the
-/// per-part output arenas plus accounting shared across every co-located
-/// part — one pre-check sweep over the union of touched block-lines, one
-/// stats delta, one suspect verdict.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[must_use]
-pub struct MultiBatchOutcome {
-    /// Per-part outputs, parallel to the plan's parts; part `p`, request
+/// Result of one wave of co-located parts (the device's internal
+/// `run_wave`): the per-part output arenas plus accounting shared across
+/// every part — one pre-check sweep over the union of touched
+/// block-lines, one stats delta, one suspect verdict.
+#[derive(Debug)]
+pub(crate) struct MultiBatchOutcome {
+    /// Per-part outputs, parallel to the wave's parts; part `p`, request
     /// `i` is `parts[p].get(i)`.
-    pub parts: Vec<OutputArena>,
+    pub(crate) parts: Vec<OutputArena>,
     /// Aggregated pre-execution input checks over the **union** of
     /// block-lines the parts touch — co-residency shares each check.
-    pub input_check: CheckReport,
+    pub(crate) input_check: CheckReport,
     /// Machine activity attributable to this wave (delta, as in
     /// [`BatchOutcome`]).
-    pub stats: MachineStats,
+    pub(crate) stats: MachineStats,
     /// Gate evaluations: `Σ part gate cycles × part batch size`.
-    pub gate_evals: u64,
+    pub(crate) gate_evals: u64,
     /// Uncorrectable verdicts on touched block-lines, shared across the
     /// parts (block-lines are physical; [`UncorrectableInput::covers_line`]
     /// applies to any part's slot lines).
-    pub uncorrectable_input: Option<UncorrectableInput>,
-}
-
-impl MultiBatchOutcome {
-    /// Total requests served across all parts.
-    pub fn requests(&self) -> usize {
-        self.parts.iter().map(OutputArena::len).sum()
-    }
+    pub(crate) uncorrectable_input: Option<UncorrectableInput>,
 }

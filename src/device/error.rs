@@ -85,29 +85,6 @@ pub enum DeviceError {
         /// Line length of the device.
         n: usize,
     },
-    /// A multi-program plan needs at least one part.
-    EmptyMultiPlan,
-    /// A multi-program plan's part disagrees with part 0 on axis or line
-    /// length.
-    MultiPlanGeometry {
-        /// Index of the disagreeing part.
-        part: usize,
-    },
-    /// Two parts of a multi-program plan occupy the same physical line.
-    MultiPlanOverlap {
-        /// The doubly-occupied line.
-        line: usize,
-    },
-    /// `run_multi` was given a different number of request groups than
-    /// its plan has parts.
-    MultiPartArity {
-        /// Parts in the plan.
-        parts: usize,
-        /// Request groups supplied.
-        groups: usize,
-    },
-    /// A builder asked for a zero-sized worker team.
-    ZeroThreads,
     /// A builder asked for retirement after zero strikes — every line
     /// would be dead on arrival.
     ZeroRetireAfter,
@@ -177,31 +154,6 @@ impl fmt::Display for DeviceError {
                     f,
                     "plan built for {plan}-cell lines executed on a {n}x{n} device"
                 )
-            }
-            DeviceError::EmptyMultiPlan => {
-                write!(f, "multi-program plan needs at least one part")
-            }
-            DeviceError::MultiPlanGeometry { part } => {
-                write!(
-                    f,
-                    "multi-program plan part {part} disagrees with part 0 on axis or line length"
-                )
-            }
-            DeviceError::MultiPlanOverlap { line } => {
-                write!(
-                    f,
-                    "multi-program plan parts both occupy line {line}; parts must be line-disjoint"
-                )
-            }
-            DeviceError::MultiPartArity { parts, groups } => {
-                write!(
-                    f,
-                    "multi-program plan has {parts} part(s) but {groups} request group(s) \
-                     were supplied"
-                )
-            }
-            DeviceError::ZeroThreads => {
-                write!(f, "worker team must have at least one thread")
             }
             DeviceError::ZeroRetireAfter => {
                 write!(f, "retirement threshold must be at least one strike")

@@ -14,11 +14,11 @@
 //!    check per *touched block-row* — not per request — before it writes
 //!    the inputs, and then executes
 //!    each program step **exactly once** for the whole batch via
-//!    row-parallel MAGIC. Placement is two-dimensional: a
-//!    [`PlacementPlan`] (see [`placement`]) also runs batches
-//!    column-parallel ([`Axis::Cols`]) and co-packs several narrow
-//!    requests per line at distinct offsets
-//!    ([`PimDevice::run_packed`] / [`PimDevice::run_plan`]);
+//!    row-parallel MAGIC. Placement is two-dimensional:
+//!    [`PimDevice::run_plan`] takes an explicit [`PlacementPlan`] (see
+//!    [`placement`]), which also runs batches column-parallel
+//!    ([`Axis::Cols`]) and co-packs several narrow requests per line at
+//!    distinct offsets;
 //! 3. the [`BatchOutcome`] carries per-request outputs plus the batch's own
 //!    [`MachineStats`] delta and a derived throughput figure (gate
 //!    evaluations per MEM cycle).
@@ -66,12 +66,11 @@ pub mod placement;
 mod program;
 mod retire;
 
-pub use batch::{
-    BatchOutcome, MultiBatchOutcome, OutputArena, OutputArenaIter, UncorrectableInput,
-};
+pub(crate) use batch::MultiBatchOutcome;
+pub use batch::{BatchOutcome, OutputArena, OutputArenaIter, UncorrectableInput};
 pub use error::DeviceError;
 pub use pimecc_core::SimEngine;
-pub use placement::{Axis, MultiProgramPlan, PlacementPlan, Slot};
+pub use placement::{Axis, PlacementPlan, Slot};
 pub use program::{netlist_fingerprint, CompiledProgram};
 pub use retire::RetiredLines;
 
@@ -122,19 +121,8 @@ impl ScrubReport {
     }
 }
 
-/// One program's share of a multi-program wave for
-/// [`PimDevice::run_multi`]: the compiled program and its request group,
-/// parallel to one part of a [`MultiProgramPlan`].
-#[derive(Debug, Clone, Copy)]
-pub struct MultiPartRequest<'a> {
-    /// The compiled program this part executes.
-    pub program: &'a CompiledProgram,
-    /// The part's requests, in the part plan's slot order.
-    pub requests: &'a [Vec<bool>],
-}
-
 /// The input rows of one wave part, in the part plan's slot order: the
-/// one indexable view the load path reads. The public entry points hand
+/// one indexable view the load path reads. [`PimDevice::run_plan`] hands
 /// over one `Vec` per request; the cluster scheduler hands over index runs
 /// into a group's request-major buffer, so its path holds no per-request
 /// `Vec`.
@@ -188,15 +176,12 @@ impl<'a> InputRows<'a> {
     }
 }
 
-/// One program's share of a wave as [`PimDevice::run_wave`] and the
-/// shared execution tail see it.
+/// One program's share of a wave as [`PimDevice::run_wave`] sees it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WavePart<'a> {
     pub(crate) program: &'a CompiledProgram,
     pub(crate) plan: &'a PlacementPlan,
-    /// `None` when the inputs are already in place (the two-call
-    /// [`PimDevice::load_request`] → `execute_*` flow).
-    pub(crate) inputs: Option<InputRows<'a>>,
+    pub(crate) inputs: InputRows<'a>,
 }
 
 /// When (and how aggressively) the device verifies ECC around a batch.
@@ -260,7 +245,6 @@ pub struct PimDeviceBuilder {
     check_policy: CheckPolicy,
     coverage: CoveragePolicy,
     engine: SimEngine,
-    threads: usize,
     fault_hook: Option<BatchFaultHook>,
     retire_after: Option<u32>,
 }
@@ -274,7 +258,6 @@ impl PimDeviceBuilder {
             check_policy: CheckPolicy::default(),
             coverage: CoveragePolicy::default(),
             engine: SimEngine::default(),
-            threads: 1,
             fault_hook: None,
             retire_after: None,
         }
@@ -290,18 +273,6 @@ impl PimDeviceBuilder {
     /// [`DeviceError::ZeroRetireAfter`].
     pub fn retire_after(mut self, strikes: u32) -> Self {
         self.retire_after = Some(strikes);
-        self
-    }
-
-    /// Number of host worker threads a fused row-parallel replay may fan
-    /// out across (default `1`: run inline). Results, statistics and
-    /// check-bits are bit-identical for every thread count — the row range
-    /// splits at fixed block-row boundaries and per-chunk ECC deltas merge
-    /// deterministically — so this is purely a host-side wall-clock knob.
-    /// `0` is rejected at [`PimDeviceBuilder::build`] time with
-    /// [`DeviceError::ZeroThreads`].
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -329,8 +300,6 @@ impl PimDeviceBuilder {
 
     /// Registers a fault-injection hook, run once per batch before the
     /// pre-execution check and the input load (see [`BatchFaultHook`]).
-    /// The two-call [`PimDevice::load_request`] → `execute_*` flow never
-    /// runs it.
     pub fn on_batch_loaded(
         mut self,
         hook: impl FnMut(&mut ProtectedMemory) + Send + 'static,
@@ -344,11 +313,9 @@ impl PimDeviceBuilder {
     /// # Errors
     ///
     /// Propagates geometry validation and coverage-map errors as
-    /// [`DeviceError::Core`].
+    /// [`DeviceError::Core`]; [`DeviceError::ZeroRetireAfter`] for
+    /// `retire_after(0)`.
     pub fn build(self) -> Result<PimDevice, DeviceError> {
-        if self.threads == 0 {
-            return Err(DeviceError::ZeroThreads);
-        }
         if self.retire_after == Some(0) {
             return Err(DeviceError::ZeroRetireAfter);
         }
@@ -364,7 +331,6 @@ impl PimDeviceBuilder {
             retired: RetiredLines::new(self.n, self.m, self.retire_after),
             memory,
             check_policy: self.check_policy,
-            threads: self.threads,
             fault_hook: self.fault_hook,
             programs: ProgramCache::default(),
             fused_plans: HashMap::new(),
@@ -388,7 +354,6 @@ impl std::fmt::Debug for PimDeviceBuilder {
             .field("check_policy", &self.check_policy)
             .field("coverage", &self.coverage)
             .field("engine", &self.engine)
-            .field("threads", &self.threads)
             .field("fault_hook", &self.fault_hook.is_some())
             .field("retire_after", &self.retire_after)
             .finish()
@@ -404,8 +369,6 @@ pub struct PimDevice {
     check_policy: CheckPolicy,
     /// Strike ledger and bad-line map (see [`RetiredLines`]).
     retired: RetiredLines,
-    /// Worker-team width for fused row-parallel replays.
-    threads: usize,
     fault_hook: Option<BatchFaultHook>,
     /// Compiled-program cache (netlist / packed / program key domains).
     programs: ProgramCache,
@@ -472,7 +435,6 @@ impl PimDevice {
             retired: RetiredLines::new(memory.geometry().n(), memory.geometry().m(), None),
             memory,
             check_policy: policy,
-            threads: 1,
             fault_hook: None,
             programs: ProgramCache::default(),
             fused_plans: HashMap::new(),
@@ -485,12 +447,6 @@ impl PimDevice {
             block_lines: Vec::new(),
             slot_scratch: Vec::new(),
         }
-    }
-
-    /// Worker-team width for fused row-parallel replays (see
-    /// [`PimDeviceBuilder::threads`]).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Number of rows — the maximum batch size.
@@ -687,9 +643,9 @@ impl PimDevice {
         self.programs.adopt_compiled(compiled)
     }
 
-    /// Checks that `program` fits this device at all — every placement
-    /// entry point runs this first so a too-wide program is reported as
-    /// such rather than as a slot geometry error.
+    /// Checks that `program` fits this device at all — every batch runs
+    /// this first so a too-wide program is reported as such rather than as
+    /// a slot geometry error.
     fn check_width(&self, program: &CompiledProgram) -> Result<(), DeviceError> {
         let n = self.capacity();
         if program.program().row_size > n {
@@ -728,170 +684,107 @@ impl PimDevice {
         Ok(())
     }
 
-    /// The trivial one-request-per-row plan over explicit `rows` — the
-    /// legacy placement shape, now expressed as a [`PlacementPlan`].
-    fn rows_plan(
-        &self,
+    /// Serves a batch: packs request `i` onto row `i`, then checks, loads
+    /// and executes as described in the [module documentation](self).
+    /// One request per row — for denser or explicit placement (co-packing,
+    /// the column axis, chosen lines) build a [`PlacementPlan`] and call
+    /// [`PimDevice::run_plan`].
+    ///
+    /// # Errors
+    ///
+    /// * [`DeviceError::EmptyBatch`] / [`DeviceError::BatchTooLarge`] if
+    ///   `requests` is empty or outnumbers the device's rows;
+    /// * everything [`PimDevice::run_plan`] reports.
+    pub fn run_batch(
+        &mut self,
         program: &CompiledProgram,
-        rows: &[usize],
-    ) -> Result<PlacementPlan, DeviceError> {
+        requests: &[Vec<bool>],
+    ) -> Result<BatchOutcome, DeviceError> {
         self.check_width(program)?;
-        PlacementPlan::new(
+        let plan = PlacementPlan::pack(
             Axis::Rows,
             self.capacity(),
             program.footprint().max(1),
-            rows.iter().map(|&line| Slot { line, offset: 0 }).collect(),
-        )
+            self.capacity(),
+            1,
+            requests.len(),
+        )?;
+        self.run_plan(program, &plan, requests)
     }
 
-    /// Writes one request's inputs into cells `0..num_inputs` of `row`
-    /// through the write-with-ECC path, leaving every other row of the
-    /// device untouched.
+    /// Serves a batch under an explicit [`PlacementPlan`]: request `i`
+    /// occupies `plan.slots()[i]` on the plan's axis. Lines not in the
+    /// plan are never written. The batch runs, in order:
+    ///
+    /// 1. the fault hook, if one is installed;
+    /// 2. **one** ECC pre-check per touched block-line (per
+    ///    [`CheckPolicy`]), single errors repaired;
+    /// 3. the input load: **one** driven write per touched line, shared by
+    ///    the requests co-packed on it;
+    /// 4. the program's steps, replayed once per occupied offset;
+    /// 5. a re-check of touched block-lines that hold stuck cells, then a
+    ///    scrub and a retirement strike for every block-line with an
+    ///    uncorrectable verdict (its requests come back suspect, see
+    ///    [`BatchOutcome::suspect_requests`]);
+    /// 6. the output readback.
+    ///
+    /// The pre-check runs *before* the load: the load updates check-bits
+    /// by word-diff against the cells' physical values, so a flip still
+    /// sitting on a line would be folded into the check bits, and a later
+    /// check would "correct" the fresh input bit instead.
     ///
     /// # Errors
     ///
-    /// Placement errors as in [`PimDevice::run_batch_on_rows`];
-    /// [`DeviceError::InputArity`] on an input-width mismatch.
-    pub fn load_request(
-        &mut self,
-        program: &CompiledProgram,
-        row: usize,
-        inputs: &[bool],
-    ) -> Result<(), DeviceError> {
-        self.check_width(program)?;
-        if row >= self.capacity() {
-            return Err(DeviceError::RowOutOfRange {
-                row,
-                n: self.capacity(),
-            });
-        }
-        if inputs.len() != program.num_inputs() {
-            return Err(DeviceError::InputArity {
-                request: 0,
-                got: inputs.len(),
-                want: program.num_inputs(),
-            });
-        }
-        let cells: Vec<(usize, bool)> = inputs.iter().copied().enumerate().collect();
-        self.memory.write_row_cells(row, &cells)?;
-        Ok(())
-    }
-
-    /// Executes `program` once across the already loaded `rows`: the
-    /// pre-execution check of every touched block-row (per
-    /// [`CheckPolicy`]), then every program step exactly once via
-    /// [`LineSet::Explicit`], then per-row output readback.
-    ///
-    /// Most callers want [`PimDevice::run_batch`], which also loads the
-    /// inputs; this lower-level entry point exists for flows that separate
-    /// loading from execution (e.g. fault-injection between the two).
-    /// This two-call flow checks *after* the load, so a flip already on a
-    /// loaded line can be folded into the check bits by the load's
-    /// word-diff update; `run_batch` and `run_plan` check first.
-    ///
-    /// # Errors
-    ///
-    /// Placement errors as in [`PimDevice::run_batch_on_rows`]; MAGIC
-    /// legality violations as [`DeviceError::Core`].
-    pub fn execute_rows(
-        &mut self,
-        program: &CompiledProgram,
-        rows: &[usize],
-    ) -> Result<BatchOutcome, DeviceError> {
-        let plan = self.rows_plan(program, rows)?;
-        self.execute_plan_checked(program, &plan)
-    }
-
-    /// Executes `program` across the already loaded slots of `plan`: one
-    /// ECC pre-check per touched block-line *of the plan's axis* (per
-    /// [`CheckPolicy`]), then the program's steps — replayed once per
-    /// occupied offset, each pass parallel over that offset's lines — then
-    /// per-slot output readback.
-    ///
-    /// The plan-level sibling of [`PimDevice::execute_rows`], for flows
-    /// that separate loading from execution.
-    ///
-    /// # Errors
-    ///
-    /// Plan validation errors as in [`PimDevice::run_plan`]; MAGIC
-    /// legality violations as [`DeviceError::Core`].
-    pub fn execute_plan(
+    /// * [`DeviceError::ProgramTooWide`] if the program does not fit the
+    ///   device at all;
+    /// * [`DeviceError::PlanGeometry`] if the plan was built for another
+    ///   line length;
+    /// * [`DeviceError::SlotTooNarrow`] if the program's footprint exceeds
+    ///   the plan's slot width;
+    /// * [`DeviceError::PlacementArity`] if the plan and `requests` differ
+    ///   in length;
+    /// * [`DeviceError::InputArity`] if a request's width is wrong;
+    /// * [`DeviceError::Core`] for machine-level failures.
+    pub fn run_plan(
         &mut self,
         program: &CompiledProgram,
         plan: &PlacementPlan,
+        requests: &[Vec<bool>],
     ) -> Result<BatchOutcome, DeviceError> {
-        self.check_plan(program, plan)?;
-        self.execute_plan_checked(program, plan)
-    }
-
-    /// [`PimDevice::execute_plan`] after validation: the single-part case
-    /// of [`PimDevice::execute_parts_checked`] over inputs already in
-    /// place.
-    fn execute_plan_checked(
-        &mut self,
-        program: &CompiledProgram,
-        plan: &PlacementPlan,
-    ) -> Result<BatchOutcome, DeviceError> {
-        let wave = self.execute_parts_checked(&[WavePart {
+        let wave = self.run_wave(&[WavePart {
             program,
             plan,
-            inputs: None,
+            inputs: InputRows::Vecs(requests),
         }])?;
         Ok(single_part(wave, plan))
     }
 
-    /// Serves one wave of one or more co-located parts: validates every
-    /// part against this device, runs the fault hook, then the shared
-    /// execution tail. [`PimDevice::run_plan`] and [`PimDevice::run_multi`]
-    /// are thin wrappers over it, and the cluster scheduler calls it with
-    /// its own index-based [`InputRows`]. Parts must be pairwise
-    /// line-disjoint: `run_multi` proves it through [`MultiProgramPlan`],
-    /// the scheduler by construction.
+    /// Serves one wave — the device's only execution path, in the order
+    /// listed on [`PimDevice::run_plan`]. The cluster scheduler calls it
+    /// with one or more pairwise line-disjoint parts and its own
+    /// index-based [`InputRows`]; the parts share one pre-check sweep over
+    /// the union of their touched block-lines, the load, the post-check
+    /// and the strikes, and replay their steps in part order.
     pub(crate) fn run_wave(
         &mut self,
         parts: &[WavePart<'_>],
     ) -> Result<MultiBatchOutcome, DeviceError> {
         for part in parts {
             self.check_plan(part.program, part.plan)?;
-            let Some(inputs) = part.inputs else {
-                continue;
-            };
-            if part.plan.requests() != inputs.len() {
+            if part.plan.requests() != part.inputs.len() {
                 return Err(DeviceError::PlacementArity {
                     rows: part.plan.requests(),
-                    requests: inputs.len(),
+                    requests: part.inputs.len(),
                 });
             }
             let want = part.program.num_inputs();
-            if let Some((request, got)) = inputs.mismatch(want) {
+            if let Some((request, got)) = part.inputs.mismatch(want) {
                 return Err(DeviceError::InputArity { request, got, want });
             }
         }
         if let Some(hook) = self.fault_hook.as_mut() {
             hook(&mut self.memory);
         }
-        self.execute_parts_checked(parts)
-    }
-
-    /// The shared execution tail for one wave of one or more co-located
-    /// program parts (each pre-validated; plans pairwise line-disjoint
-    /// when more than one): **one** ECC pre-check sweep over the union of
-    /// touched block-lines, then the input load, each part's steps
-    /// replayed once per occupied offset, one stuck-gated post-check, one
-    /// scrub/strike pass for the suspect lines, then per-part arena
-    /// readback. Checks scale with touched block-lines, not parts —
-    /// co-residency is free at the ECC layer.
-    ///
-    /// The pre-check runs *before* the load: the word-diff load computes
-    /// check-bit deltas against the cells' physical values, so a flip
-    /// still sitting on a line would be folded into the check bits, and a
-    /// later check would "correct" the fresh input bit instead. Parts
-    /// without inputs are the two-call flow ([`PimDevice::load_request`]
-    /// then `execute_*`), whose inputs are already in place.
-    fn execute_parts_checked(
-        &mut self,
-        parts: &[WavePart<'_>],
-    ) -> Result<MultiBatchOutcome, DeviceError> {
         let stats_before = *self.memory.stats();
         let axis = parts[0].plan.axis();
         let m = self.memory.geometry().m();
@@ -940,9 +833,7 @@ impl PimDevice {
                 }
             }
         }
-        if parts.iter().any(|p| p.inputs.is_some()) {
-            self.load_inputs(axis, parts)?;
-        }
+        self.load_inputs(axis, parts)?;
 
         // Co-packed offsets replay the step sequence once per offset: a
         // MAGIC cycle drives one set of line voltages, so gates at
@@ -1031,10 +922,7 @@ impl PimDevice {
                         });
                         if let Some(fused) = entry.as_ref() {
                             match axis {
-                                Axis::Rows => {
-                                    self.memory
-                                        .exec_fused_rows(fused, range.clone(), self.threads)
-                                }
+                                Axis::Rows => self.memory.exec_fused_rows(fused, range.clone(), 1),
                                 Axis::Cols => self.memory.exec_fused_cols(fused, range.clone()),
                             }
                             continue;
@@ -1156,169 +1044,14 @@ impl PimDevice {
         })
     }
 
-    /// Serves a batch: packs request `i` onto row `i`, then loads, checks
-    /// and executes as described in the [module documentation](self).
-    /// One request per row — for denser placement (co-packing, column
-    /// axis) see [`PimDevice::run_packed`] and [`PimDevice::run_plan`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PimDevice::run_batch_on_rows`].
-    pub fn run_batch(
-        &mut self,
-        program: &CompiledProgram,
-        requests: &[Vec<bool>],
-    ) -> Result<BatchOutcome, DeviceError> {
-        self.check_width(program)?;
-        let plan = PlacementPlan::pack(
-            Axis::Rows,
-            self.capacity(),
-            program.footprint().max(1),
-            self.capacity(),
-            1,
-            requests.len(),
-        )?;
-        self.run_plan(program, &plan, requests)
-    }
-
-    /// Serves a batch at maximum density on the chosen axis: requests fill
-    /// every line at offset 0 first, then co-pack additional offsets as
-    /// long as `footprint() * k <= n`, so a narrow program serves up to
-    /// `n * (n / footprint)` requests in one call.
-    ///
-    /// # Errors
-    ///
-    /// As [`PimDevice::run_batch`]; [`DeviceError::BatchTooLarge`] reflects
-    /// the packed capacity.
-    pub fn run_packed(
-        &mut self,
-        program: &CompiledProgram,
-        axis: Axis,
-        requests: &[Vec<bool>],
-    ) -> Result<BatchOutcome, DeviceError> {
-        self.check_width(program)?;
-        let plan = PlacementPlan::pack(
-            axis,
-            self.capacity(),
-            program.footprint().max(1),
-            self.capacity(),
-            usize::MAX,
-            requests.len(),
-        )?;
-        self.run_plan(program, &plan, requests)
-    }
-
-    /// Serves a batch with explicit row placement: request `i` executes on
-    /// `rows[i]`. Rows not listed are never written — concurrent residents
-    /// of the crossbar are preserved.
-    ///
-    /// # Errors
-    ///
-    /// * [`DeviceError::PlacementArity`] if `rows` and `requests` differ in
-    ///   length;
-    /// * [`DeviceError::EmptyBatch`] / [`DeviceError::BatchTooLarge`] /
-    ///   [`DeviceError::RowOutOfRange`] / [`DeviceError::RowConflict`] on
-    ///   bad placements;
-    /// * [`DeviceError::ProgramTooWide`] if the program does not fit;
-    /// * [`DeviceError::InputArity`] if a request's width is wrong;
-    /// * [`DeviceError::Core`] for machine-level failures.
-    pub fn run_batch_on_rows(
-        &mut self,
-        program: &CompiledProgram,
-        rows: &[usize],
-        requests: &[Vec<bool>],
-    ) -> Result<BatchOutcome, DeviceError> {
-        if rows.len() != requests.len() {
-            return Err(DeviceError::PlacementArity {
-                rows: rows.len(),
-                requests: requests.len(),
-            });
-        }
-        let plan = self.rows_plan(program, rows)?;
-        self.run_plan(program, &plan, requests)
-    }
-
-    /// Serves a batch under an explicit [`PlacementPlan`]: request `i`
-    /// occupies `plan.slots()[i]` on the plan's axis. Runs the fault hook,
-    /// pre-checks the touched block-lines, loads every touched line with
-    /// **one** driven write (co-packed requests share it), then executes
-    /// as [`PimDevice::execute_plan`]. Lines not in the plan are never
-    /// written.
-    ///
-    /// # Errors
-    ///
-    /// * [`DeviceError::ProgramTooWide`] if the program does not fit the
-    ///   device at all;
-    /// * [`DeviceError::PlanGeometry`] if the plan was built for another
-    ///   line length;
-    /// * [`DeviceError::SlotTooNarrow`] if the program's footprint exceeds
-    ///   the plan's slot width;
-    /// * [`DeviceError::PlacementArity`] if the plan and `requests` differ
-    ///   in length;
-    /// * [`DeviceError::InputArity`] if a request's width is wrong;
-    /// * [`DeviceError::Core`] for machine-level failures.
-    pub fn run_plan(
-        &mut self,
-        program: &CompiledProgram,
-        plan: &PlacementPlan,
-        requests: &[Vec<bool>],
-    ) -> Result<BatchOutcome, DeviceError> {
-        let wave = self.run_wave(&[WavePart {
-            program,
-            plan,
-            inputs: Some(InputRows::Vecs(requests)),
-        }])?;
-        Ok(single_part(wave, plan))
-    }
-
-    /// Serves one **multi-program wave**: part `p`'s requests execute
-    /// `parts[p].program` under `plan.parts()[p]`, all co-resident on this
-    /// crossbar. Every part's input loads merge into one driven write per
-    /// touched line, the ECC pre-check runs once per touched block-line of
-    /// the **union** of parts (co-residency is free at the ECC layer),
-    /// each part's steps replay once per occupied offset, and one
-    /// suspect/scrub/strike pass covers all parts —
-    /// [`UncorrectableInput::covers_line`] applies to any part's slot
-    /// lines, so retirement/retry escalation above works unchanged.
-    ///
-    /// # Errors
-    ///
-    /// * [`DeviceError::MultiPartArity`] if `parts` and the plan disagree
-    ///   on part count;
-    /// * per part, everything [`PimDevice::run_plan`] reports.
-    pub fn run_multi(
-        &mut self,
-        plan: &MultiProgramPlan,
-        parts: &[MultiPartRequest<'_>],
-    ) -> Result<MultiBatchOutcome, DeviceError> {
-        if plan.parts().len() != parts.len() {
-            return Err(DeviceError::MultiPartArity {
-                parts: plan.parts().len(),
-                groups: parts.len(),
-            });
-        }
-        let wave: Vec<WavePart<'_>> = plan
-            .parts()
-            .iter()
-            .zip(parts)
-            .map(|(sub, part)| WavePart {
-                program: part.program,
-                plan: sub,
-                inputs: Some(InputRows::Vecs(part.requests)),
-            })
-            .collect();
-        self.run_wave(&wave)
-    }
-
     /// Loads every part's requests into its planned slots, merging all
     /// requests sharing a line into one driven write — the
-    /// load-amortization half of co-packing, shared across the co-located
-    /// parts of a multi-program wave (deterministic line order; parts are
-    /// line-disjoint, and slots on one line never overlap). On the fused
-    /// word path the requests pack straight into reusable word planes (64
-    /// bits per store, no per-cell tuples); other configurations stage
-    /// sparse cell lists per line. Both machine entry points are bit- and
-    /// stats-identical to per-line driven writes.
+    /// load-amortization half of co-packing (deterministic line order;
+    /// parts are line-disjoint, and slots on one line never overlap). On
+    /// the fused word path the requests pack straight into reusable word
+    /// planes (64 bits per store, no per-cell tuples); other
+    /// configurations stage a sparse cell list per line for one
+    /// `write_{row,col}_cells` each. Both are bit- and stats-identical.
     fn load_inputs(&mut self, axis: Axis, parts: &[WavePart<'_>]) -> Result<(), DeviceError> {
         let written = if self.memory.supports_fused_rows() {
             let stride = self.capacity().div_ceil(64);
@@ -1327,9 +1060,8 @@ impl PimDevice {
             self.plane_touched.resize(self.capacity().div_ceil(64), 0);
             self.touched_lines.clear();
             for part in parts {
-                let Some(rows) = part.inputs else { continue };
                 for (i, slot) in part.plan.slots().iter().enumerate() {
-                    let req = rows.get(i);
+                    let req = part.inputs.get(i);
                     let (tw, tb) = (slot.line / 64, 1u64 << (slot.line % 64));
                     if self.plane_touched[tw] & tb == 0 {
                         self.plane_touched[tw] |= tb;
@@ -1391,9 +1123,8 @@ impl PimDevice {
             }
             self.touched_lines.clear();
             for part in parts {
-                let Some(rows) = part.inputs else { continue };
                 for (i, slot) in part.plan.slots().iter().enumerate() {
-                    let req = rows.get(i);
+                    let req = part.inputs.get(i);
                     let cells = &mut self.line_loads[slot.line];
                     if cells.is_empty() {
                         self.touched_lines.push(slot.line);
@@ -1402,18 +1133,19 @@ impl PimDevice {
                 }
             }
             self.touched_lines.sort_unstable();
-            let written = match axis {
-                Axis::Rows => self
-                    .memory
-                    .write_rows_cells_batched(&self.touched_lines, &self.line_loads),
-                Axis::Cols => self
-                    .memory
-                    .write_cols_cells_batched(&self.touched_lines, &self.line_loads),
-            };
-            // Hand every buffer back emptied (capacity intact) even past a
-            // failure, or the stale cells would poison the next batch.
+            let mut written = Ok(());
             for i in 0..self.touched_lines.len() {
                 let line = self.touched_lines[i];
+                if written.is_ok() {
+                    let cells = &self.line_loads[line];
+                    written = match axis {
+                        Axis::Rows => self.memory.write_row_cells(line, cells),
+                        Axis::Cols => self.memory.write_col_cells(line, cells),
+                    };
+                }
+                // Hand every buffer back emptied (capacity intact) even
+                // past a failure, or the stale cells would poison the next
+                // batch.
                 self.line_loads[line].clear();
             }
             written
@@ -1467,6 +1199,43 @@ mod tests {
         b.output(g2);
         let nl = b.finish();
         (nl.to_nor(), nl)
+    }
+
+    /// `run_plan` with request `i` on row `rows[i]`, offset 0.
+    fn run_on_rows(
+        device: &mut PimDevice,
+        program: &CompiledProgram,
+        rows: &[usize],
+        requests: &[Vec<bool>],
+    ) -> Result<BatchOutcome, DeviceError> {
+        let slots = rows.iter().map(|&line| Slot { line, offset: 0 }).collect();
+        let plan = PlacementPlan::new(
+            Axis::Rows,
+            device.capacity(),
+            program.footprint().max(1),
+            slots,
+        )?;
+        device.run_plan(program, &plan, requests)
+    }
+
+    /// `run_plan` under the densest plan on `axis`: every line at offset 0
+    /// first, then further offsets.
+    fn run_packed(
+        device: &mut PimDevice,
+        program: &CompiledProgram,
+        axis: Axis,
+        requests: &[Vec<bool>],
+    ) -> Result<BatchOutcome, DeviceError> {
+        let n = device.capacity();
+        let plan = PlacementPlan::pack(
+            axis,
+            n,
+            program.footprint().max(1),
+            n,
+            usize::MAX,
+            requests.len(),
+        )?;
+        device.run_plan(program, &plan, requests)
     }
 
     #[test]
@@ -1569,18 +1338,16 @@ mod tests {
         let (nor, nl) = small_circuit();
         let mut device = PimDevice::new(30, 5).expect("device");
         let p = device.compile(&nor).expect("compiles");
-        let first = device
-            .run_batch_on_rows(&p, &[4], &[vec![true, true, false]])
-            .expect("runs");
+        let first = run_on_rows(&mut device, &p, &[4], &[vec![true, true, false]]).expect("runs");
         // A second batch on different rows must not disturb row 4.
         let resident: Vec<bool> = (0..30).map(|c| device.memory().bit(4, c)).collect();
-        let second = device
-            .run_batch_on_rows(
-                &p,
-                &[11, 28],
-                &[vec![false, true, true], vec![true, false, true]],
-            )
-            .expect("runs");
+        let second = run_on_rows(
+            &mut device,
+            &p,
+            &[11, 28],
+            &[vec![false, true, true], vec![true, false, true]],
+        )
+        .expect("runs");
         let after: Vec<bool> = (0..30).map(|c| device.memory().bit(4, c)).collect();
         assert_eq!(resident, after, "row 4 untouched by the second batch");
         assert_eq!(first.outputs[0], nl.eval(&[true, true, false]));
@@ -1618,9 +1385,7 @@ mod tests {
         let requests: Vec<Vec<bool>> = (0..30u32)
             .map(|v| (0..3).map(|i| v >> i & 1 != 0).collect())
             .collect();
-        let outcome = device
-            .run_packed(&program, Axis::Cols, &requests)
-            .expect("runs");
+        let outcome = run_packed(&mut device, &program, Axis::Cols, &requests).expect("runs");
         assert_eq!(outcome.axis(), Axis::Cols);
         for (i, req) in requests.iter().enumerate() {
             assert_eq!(outcome.outputs[i], nl.eval(req), "request {i}");
@@ -1645,7 +1410,7 @@ mod tests {
                 "packed mapping must co-pack: footprint {}",
                 program.footprint()
             );
-            let outcome = device.run_packed(&program, axis, &requests).expect("runs");
+            let outcome = run_packed(&mut device, &program, axis, &requests).expect("runs");
             assert!(
                 outcome.placement.max_per_line() >= 2,
                 "72 requests on 30 lines must co-pack ({axis})"
@@ -1703,7 +1468,7 @@ mod tests {
             let mut device = PimDevice::new(30, 3).expect("device");
             let p = device.compile(&nor).expect("compiles");
             let requests: Vec<Vec<bool>> = (0..7).map(|_| vec![true, false, true]).collect();
-            let outcome = device.run_packed(&p, axis, &requests).expect("runs");
+            let outcome = run_packed(&mut device, &p, axis, &requests).expect("runs");
             assert_eq!(outcome.input_check.checked, 30, "{axis}");
             assert_eq!(outcome.stats.blocks_checked, 30, "{axis}");
         }
@@ -1742,7 +1507,7 @@ mod tests {
             .collect();
         // Column axis: input cell (1, 5) belongs to request 5 (line =
         // column 5, offset 0, program cell 1).
-        let outcome = device.run_packed(&p, Axis::Cols, &requests).expect("runs");
+        let outcome = run_packed(&mut device, &p, Axis::Cols, &requests).expect("runs");
         assert_eq!(outcome.input_check.corrected, 1, "the strike was repaired");
         for (i, req) in requests.iter().enumerate() {
             assert_eq!(outcome.outputs[i], nl.eval(req), "request {i}");
@@ -1786,24 +1551,6 @@ mod tests {
                 rows: 2,
                 requests: 1
             }
-        );
-    }
-
-    #[test]
-    fn builder_rejects_zero_threads_and_reports_team_width() {
-        assert_eq!(
-            PimDeviceBuilder::new(30, 3).threads(0).build().unwrap_err(),
-            DeviceError::ZeroThreads
-        );
-        let device = PimDeviceBuilder::new(30, 3)
-            .threads(4)
-            .build()
-            .expect("four-wide team is legal");
-        assert_eq!(device.threads(), 4);
-        assert_eq!(
-            PimDevice::new(30, 3).expect("default device").threads(),
-            1,
-            "default is the inline single-thread replay"
         );
     }
 
@@ -1905,21 +1652,15 @@ mod tests {
             DeviceError::EmptyBatch
         );
         assert_eq!(
-            device
-                .run_batch_on_rows(&p, &[0, 0], &[req.clone(), req.clone()])
-                .unwrap_err(),
+            run_on_rows(&mut device, &p, &[0, 0], &[req.clone(), req.clone()]).unwrap_err(),
             DeviceError::RowConflict { row: 0 }
         );
         assert_eq!(
-            device
-                .run_batch_on_rows(&p, &[99], std::slice::from_ref(&req))
-                .unwrap_err(),
+            run_on_rows(&mut device, &p, &[99], std::slice::from_ref(&req)).unwrap_err(),
             DeviceError::RowOutOfRange { row: 99, n: 30 }
         );
         assert_eq!(
-            device
-                .run_batch_on_rows(&p, &[0, 1], std::slice::from_ref(&req))
-                .unwrap_err(),
+            run_on_rows(&mut device, &p, &[0, 1], std::slice::from_ref(&req)).unwrap_err(),
             DeviceError::PlacementArity {
                 rows: 2,
                 requests: 1
@@ -2003,23 +1744,21 @@ mod tests {
             .collect();
         let plan_a = part_plan(30, 0..6, pa.footprint());
         let plan_b = part_plan(30, 6..15, pb.footprint());
-        let multi = MultiProgramPlan::new(vec![plan_a, plan_b]).expect("disjoint");
         let outcome = device
-            .run_multi(
-                &multi,
-                &[
-                    MultiPartRequest {
-                        program: &pa,
-                        requests: &reqs_a,
-                    },
-                    MultiPartRequest {
-                        program: &pb,
-                        requests: &reqs_b,
-                    },
-                ],
-            )
+            .run_wave(&[
+                WavePart {
+                    program: &pa,
+                    plan: &plan_a,
+                    inputs: InputRows::Vecs(&reqs_a),
+                },
+                WavePart {
+                    program: &pb,
+                    plan: &plan_b,
+                    inputs: InputRows::Vecs(&reqs_b),
+                },
+            ])
             .expect("runs");
-        assert_eq!(outcome.requests(), 15);
+        assert_eq!((outcome.parts[0].len(), outcome.parts[1].len()), (6, 9));
         for (i, req) in reqs_a.iter().enumerate() {
             assert_eq!(outcome.parts[0][i], nl_a.eval(req), "part A request {i}");
         }
@@ -2035,38 +1774,6 @@ mod tests {
             pa.gate_cycles() * 6 + pb.gate_cycles() * 9
         );
         assert!(device.memory().verify_consistency().is_ok());
-    }
-
-    #[test]
-    fn multi_part_arity_and_geometry_are_validated() {
-        let (nor, _) = small_circuit();
-        let mut device = PimDevice::new(30, 3).expect("device");
-        let p = device.compile(&nor).expect("compiles");
-        let plan = part_plan(30, 0..2, p.footprint());
-        let multi = MultiProgramPlan::new(vec![plan]).expect("one part");
-        assert_eq!(
-            device.run_multi(&multi, &[]).unwrap_err(),
-            DeviceError::MultiPartArity {
-                parts: 1,
-                groups: 0
-            }
-        );
-        let reqs = vec![vec![true, false, true]];
-        assert_eq!(
-            device
-                .run_multi(
-                    &multi,
-                    &[MultiPartRequest {
-                        program: &p,
-                        requests: &reqs,
-                    }],
-                )
-                .unwrap_err(),
-            DeviceError::PlacementArity {
-                rows: 2,
-                requests: 1
-            }
-        );
     }
 
     #[test]
@@ -2086,25 +1793,21 @@ mod tests {
         let pb = device.compile(&nor_b).expect("compiles");
         let reqs_a: Vec<Vec<bool>> = (0..3).map(|_| vec![true, false, true]).collect();
         let reqs_b: Vec<Vec<bool>> = (0..3).map(|_| vec![true, true, false, false]).collect();
-        let multi = MultiProgramPlan::new(vec![
-            part_plan(30, 0..3, pa.footprint()),
-            part_plan(30, 6..9, pb.footprint()),
-        ])
-        .expect("disjoint");
+        let plan_a = part_plan(30, 0..3, pa.footprint());
+        let plan_b = part_plan(30, 6..9, pb.footprint());
         let outcome = device
-            .run_multi(
-                &multi,
-                &[
-                    MultiPartRequest {
-                        program: &pa,
-                        requests: &reqs_a,
-                    },
-                    MultiPartRequest {
-                        program: &pb,
-                        requests: &reqs_b,
-                    },
-                ],
-            )
+            .run_wave(&[
+                WavePart {
+                    program: &pa,
+                    plan: &plan_a,
+                    inputs: InputRows::Vecs(&reqs_a),
+                },
+                WavePart {
+                    program: &pb,
+                    plan: &plan_b,
+                    inputs: InputRows::Vecs(&reqs_b),
+                },
+            ])
             .expect("runs");
         let unc = outcome
             .uncorrectable_input

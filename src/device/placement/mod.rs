@@ -40,9 +40,7 @@
 //! executing device's geometry and program, so a plan that executes is a
 //! plan that was legal.
 
-mod multi;
 mod packer;
 mod plan;
 
-pub use multi::MultiProgramPlan;
 pub use plan::{Axis, PlacementPlan, Slot};

@@ -123,8 +123,8 @@ pub mod prelude {
     };
     pub use crate::compiler::{PartitionedProgram, RouteSource, SubProgram};
     pub use crate::device::{
-        Axis, BatchOutcome, CheckPolicy, CompiledProgram, CoveragePolicy, DeviceError,
-        MultiProgramPlan, OutputArena, PimDevice, PimDeviceBuilder, PlacementPlan, RetiredLines,
-        ScrubReport, SimEngine, Slot, UncorrectableInput,
+        Axis, BatchOutcome, CheckPolicy, CompiledProgram, CoveragePolicy, DeviceError, OutputArena,
+        PimDevice, PimDeviceBuilder, PlacementPlan, RetiredLines, ScrubReport, SimEngine, Slot,
+        UncorrectableInput,
     };
 }

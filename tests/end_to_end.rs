@@ -483,7 +483,9 @@ proptest! {
     ) {
         // Whatever 2D plan the packer produces — any axis, any density
         // cap, any line budget — executing it must reproduce the software
-        // reference bit for bit for every request.
+        // reference bit for bit for every request. The per-line load path
+        // (scalar engine, paranoid checking) runs the same plan and must
+        // agree with the word path.
         let mut b = NetlistBuilder::new();
         let ins = b.inputs(4);
         let g1 = b.xor(ins[0], ins[1]);
@@ -513,6 +515,25 @@ proptest! {
                     );
                 }
                 prop_assert!(device.memory().verify_consistency().is_ok());
+
+                let mut scalar = PimDeviceBuilder::new(30, 3)
+                    .engine(SimEngine::ScalarReference)
+                    .build()
+                    .expect("device");
+                let p = scalar.adopt_compiled(&program);
+                let reference = scalar.run_plan(&p, &plan, &requests).expect("runs");
+                prop_assert_eq!(&reference.outputs, &outcome.outputs, "scalar, axis {}", axis);
+                prop_assert_eq!(reference.stats, outcome.stats, "scalar, axis {}", axis);
+                prop_assert!(scalar.memory().verify_consistency().is_ok());
+
+                let mut paranoid = PimDeviceBuilder::new(30, 3)
+                    .check_policy(CheckPolicy::Paranoid)
+                    .build()
+                    .expect("device");
+                let p = paranoid.adopt_compiled(&program);
+                let checked = paranoid.run_plan(&p, &plan, &requests).expect("runs");
+                prop_assert_eq!(&checked.outputs, &outcome.outputs, "paranoid, axis {}", axis);
+                prop_assert!(paranoid.memory().verify_consistency().is_ok());
             }
             // The sampled traffic may exceed the sampled line budget.
             Err(DeviceError::BatchTooLarge { .. }) => {}

@@ -1,16 +1,18 @@
 //! Interop integration tests: BLIF round-trips through the mapper,
 //! listing round-trips through the crossbar executor, the equivalence
-//! checker guarding the whole transformation chain, and the
-//! load/execute-separated device flow on a real benchmark.
+//! checker guarding the whole transformation chain, and a fault-struck
+//! device batch on a real benchmark.
 
 use pimecc::cluster::PimCluster;
-use pimecc::device::PimDevice;
+use pimecc::device::{PimDevice, PimDeviceBuilder};
 use pimecc::netlist::blif::{parse_blif, write_blif};
 use pimecc::netlist::equiv::{check_equivalence, Equivalence};
 use pimecc::netlist::generators::{Benchmark, ExtraBenchmark};
 use pimecc::simpler::{map, map_auto, parse_listing, write_listing, MapperConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 #[test]
 fn blif_export_import_then_map_and_execute() {
@@ -71,20 +73,27 @@ fn equivalence_checker_guards_nor_lowering_of_extras() {
 #[test]
 fn load_execute_device_flow_runs_int2float_with_fault_recovery() {
     // A complete paper-flow run of a real Table I benchmark inside the
-    // ECC-protected memory, including a pre-execution input repair — via
-    // the device API's separated load / execute entry points.
+    // ECC-protected memory, including a pre-execution input repair: the
+    // batch's fault hook strikes one input cell of row 0, and the
+    // pre-check must repair it before the load and the replay.
     let circuit = Benchmark::Int2float.build();
     let nor = circuit.netlist.to_nor();
     let program = map(&nor, &MapperConfig { row_size: 255 }).expect("fits a 255-cell row");
-    let mut device = PimDevice::new(255, 5).expect("device");
+    let strike = Arc::new(AtomicUsize::new(0));
+    let col = Arc::clone(&strike);
+    let mut device = PimDeviceBuilder::new(255, 5)
+        .on_batch_loaded(move |pm| pm.inject_fault(0, col.load(Ordering::Relaxed)))
+        .build()
+        .expect("device");
     let compiled = device.adopt(&program);
 
     for x in [0u32, 1, 0b100_0000_0000, 0x7FF] {
         let inputs: Vec<bool> = (0..11).map(|i| x >> i & 1 != 0).collect();
-        device.load_request(&compiled, 0, &inputs).expect("loads");
         // Strike one input bit.
-        device.inject_fault(0, (x as usize) % 11);
-        let out = device.execute_rows(&compiled, &[0]).expect("runs");
+        strike.store((x as usize) % 11, Ordering::Relaxed);
+        let out = device
+            .run_batch(&compiled, std::slice::from_ref(&inputs))
+            .expect("runs");
         assert_eq!(out.input_check.corrected, 1, "x={x}");
         assert_eq!(out.outputs[0], (circuit.reference)(&inputs), "x={x}");
         assert!(device.memory().verify_consistency().is_ok());

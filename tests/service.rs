@@ -445,23 +445,20 @@ proptest! {
         prop_assert_eq!(&outcome.shard_reports, &reference.shard_reports);
     }
 
-    // Concurrent producers over a shard whose fused replays fan out across
-    // a random row-team width must stay bit-identical — outputs,
-    // placements, `MachineStats` and input-`CheckReport`s — to a
-    // synchronous *scalar-reference* cluster replaying the same stream in
-    // channel (= ticket) order. Neither the thread boundary, nor the
-    // producer interleaving, nor the worker team, nor the kernel lane
+    // Concurrent producers over a shard on the service's worker thread
+    // must stay bit-identical — outputs, placements, `MachineStats` and
+    // input-`CheckReport`s — to a synchronous *scalar-reference* cluster
+    // replaying the same stream in channel (= ticket) order. Neither the
+    // thread boundary, nor the producer interleaving, nor the kernel lane
     // width may leak into anything but wall-clock time.
     #[test]
     fn concurrent_producers_on_a_threaded_shard_match_the_scalar_reference(
-        threads in 1usize..9,
         choices in proptest::collection::vec((any::<bool>(), 0u32..256), 8..40),
     ) {
         let (xor_nor, _) = xor_circuit();
         let (mux_nor, _) = mux_circuit();
 
         let service = PimClusterBuilder::new(1, 30, 3)
-            .threads(threads)
             .auto_flush_at(8)
             .spawn()
             .expect("spawns");
@@ -508,7 +505,7 @@ proptest! {
         let mut stream = submitted;
         stream.sort_by_key(|&(id, _, _)| id);
 
-        // Scalar single-thread reference, same threshold, same stream.
+        // Scalar synchronous reference, same threshold, same stream.
         let mut scalar = PimClusterBuilder::new(1, 30, 3)
             .engine(SimEngine::ScalarReference)
             .auto_flush_at(8)
