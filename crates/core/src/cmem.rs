@@ -14,13 +14,25 @@ use pimecc_xbar::{Crossbar, LineSet, XbarError};
 /// The check-bit store: `2·m` logical planes of `(n/m)×(n/m)` bits.
 ///
 /// Plane `d` of a family holds, at `(block_row, block_col)`, the parity of
-/// diagonal `d` of that block. The *simulation* packs the `m` check-bits
-/// of one family of one block into words (bit `d % 64` of word `d / 64`),
-/// so that the word-diff maintenance path can flip every diagonal a
-/// parallel operation touched in a block with one XOR
-/// ([`CheckMemory::xor_block_words`]) and the checker can read a block's
-/// parity vector in one load ([`CheckMemory::block_checks_word`]). The
-/// per-plane API is unchanged.
+/// diagonal `d` of that block. The *simulation* stores the check-bits of
+/// one family of one block row as a packed **field row** of `n` bits
+/// (`ceil(n / 64)` words), laid out like a MEM row: block `(br, bc)` owns
+/// the m-bit field at bits `bc·m .. bc·m + m` of row `br`, the bits its
+/// own data columns occupy.
+///
+/// - Leading diagonal `d` of a block is bit `bc·m + d`.
+/// - Counter diagonal `d` is bit `bc·m + (m − 1 − d)`: the counter family
+///   is kept in *rotation order*, the un-reversed form
+///   [`DiagonalCode::encode_words`](crate::DiagonalCode::encode_words)
+///   accumulates before its final reversal.
+///
+/// In this layout the parity contribution of MEM row `r` (local row
+/// `lr = r mod m`) to every block of its block row is the row itself with
+/// each field rotated left — by `lr` for the leading family and by
+/// `m − 1 − lr` for the counter family — so a written row updates, and a
+/// check recomputes, a whole block row with two whole-word field rotations
+/// and no bit reversal. The per-diagonal API below keeps its meaning for
+/// any `m`.
 ///
 /// # Example
 ///
@@ -40,32 +52,49 @@ use pimecc_xbar::{Crossbar, LineSet, XbarError};
 #[derive(Debug, Clone)]
 pub struct CheckMemory {
     geom: BlockGeometry,
-    /// Packed leading-family check words, `wpf` words per block, indexed
-    /// `[(block_row * bps + block_col) * wpf + d / 64]`.
+    /// Words per field row (`ceil(n / 64)`).
+    stride: usize,
+    /// Leading-family field rows, `[block_row * stride + word]`.
     leading: Vec<u64>,
-    /// Counter family, same layout.
+    /// Counter-family field rows, same layout, rotation order.
     counter: Vec<u64>,
-    /// Words per family per block (`ceil(m / 64)`).
-    wpf: usize,
 }
 
 impl CheckMemory {
     /// Creates an all-zero check memory for `geom` (consistent with an
     /// all-zero MEM).
     pub fn new(geom: BlockGeometry) -> Self {
-        let wpf = geom.m().div_ceil(64);
-        let blocks = geom.block_count();
+        let stride = geom.n().div_ceil(64);
+        let words = geom.blocks_per_side() * stride;
         CheckMemory {
             geom,
-            leading: vec![0; blocks * wpf],
-            counter: vec![0; blocks * wpf],
-            wpf,
+            stride,
+            leading: vec![0; words],
+            counter: vec![0; words],
         }
     }
 
     /// The geometry this CMEM serves.
     pub fn geometry(&self) -> &BlockGeometry {
         &self.geom
+    }
+
+    /// Word and mask of diagonal `d` of block `(block_row, block_col)` in
+    /// `family`'s field rows.
+    #[inline]
+    fn index(&self, family: Family, d: usize, block_row: usize, block_col: usize) -> (usize, u64) {
+        let m = self.geom.m();
+        debug_assert!(d < m, "diagonal index out of range");
+        debug_assert!(
+            block_row < self.geom.blocks_per_side() && block_col < self.geom.blocks_per_side(),
+            "block index out of range"
+        );
+        let p = self.field_at(block_row, block_col).0
+            + match family {
+                Family::Leading => d,
+                Family::Counter => m - 1 - d,
+            };
+        (p / 64, 1u64 << (p % 64))
     }
 
     #[inline]
@@ -84,17 +113,6 @@ impl CheckMemory {
         }
     }
 
-    #[inline]
-    fn index(&self, d: usize, block_row: usize, block_col: usize) -> (usize, u64) {
-        debug_assert!(d < self.geom.m(), "diagonal index out of range");
-        debug_assert!(
-            block_row < self.geom.blocks_per_side() && block_col < self.geom.blocks_per_side(),
-            "block index out of range"
-        );
-        let blk = block_row * self.geom.blocks_per_side() + block_col;
-        (blk * self.wpf + d / 64, 1u64 << (d % 64))
-    }
-
     /// Reads the check-bit of diagonal `d` of block `(block_row,
     /// block_col)`.
     ///
@@ -102,7 +120,7 @@ impl CheckMemory {
     ///
     /// Panics in debug builds on out-of-range indices.
     pub fn bit(&self, family: Family, d: usize, block_row: usize, block_col: usize) -> bool {
-        let (w, mask) = self.index(d, block_row, block_col);
+        let (w, mask) = self.index(family, d, block_row, block_col);
         self.family(family)[w] & mask != 0
     }
 
@@ -115,7 +133,7 @@ impl CheckMemory {
         block_col: usize,
         value: bool,
     ) {
-        let (w, mask) = self.index(d, block_row, block_col);
+        let (w, mask) = self.index(family, d, block_row, block_col);
         let word = &mut self.family_mut(family)[w];
         if value {
             *word |= mask;
@@ -135,15 +153,14 @@ impl CheckMemory {
         delta: bool,
     ) {
         if delta {
-            let (w, mask) = self.index(d, block_row, block_col);
-            self.family_mut(family)[w] ^= mask;
+            self.inject_fault(family, d, block_row, block_col);
         }
     }
 
     /// Flips a check-bit unconditionally — the soft-error primitive for
     /// faults striking the CMEM itself.
     pub fn inject_fault(&mut self, family: Family, d: usize, block_row: usize, block_col: usize) {
-        let (w, mask) = self.index(d, block_row, block_col);
+        let (w, mask) = self.index(family, d, block_row, block_col);
         self.family_mut(family)[w] ^= mask;
     }
 
@@ -158,21 +175,20 @@ impl CheckMemory {
         block_row: usize,
         block_col: usize,
     ) {
-        let (lw, lmask) = self.index(lead_d, block_row, block_col);
-        let (cw, cmask) = self.index(counter_d, block_row, block_col);
+        let (lw, lmask) = self.index(Family::Leading, lead_d, block_row, block_col);
+        let (cw, cmask) = self.index(Family::Counter, counter_d, block_row, block_col);
         self.leading[lw] ^= lmask;
         self.counter[cw] ^= cmask;
     }
 
-    /// XORs packed diagonal deltas into one block's check words — the Θ(1)
+    /// XORs packed diagonal deltas into one block's check-bits — the Θ(1)
     /// form of the critical-operation update for a whole parallel write:
     /// every diagonal a MAGIC operation touched in the block flips in one
     /// operation per family (bit `d` of each delta word is diagonal `d`).
     ///
     /// # Panics
     ///
-    /// Panics if `m > 64` (wider blocks update per diagonal).
-    #[inline]
+    /// Panics if `m > 63` (wider blocks update per diagonal).
     pub fn xor_block_words(
         &mut self,
         block_row: usize,
@@ -180,10 +196,8 @@ impl CheckMemory {
         lead_delta: u64,
         counter_delta: u64,
     ) {
-        assert!(self.wpf == 1, "packed block update requires m <= 64");
-        let blk = block_row * self.geom.blocks_per_side() + block_col;
-        self.leading[blk] ^= lead_delta;
-        self.counter[blk] ^= counter_delta;
+        let m = self.packed_m();
+        self.xor_fields(block_row, block_col, lead_delta, rev_m(counter_delta, m));
     }
 
     /// All m check-bits of one family for one block, indexed by diagonal.
@@ -194,39 +208,28 @@ impl CheckMemory {
     }
 
     /// All m check-bits of one family for one block, packed into a word
-    /// (bit `d` is diagonal `d`) — the word-diff form of
-    /// [`CheckMemory::block_checks`], a single load.
+    /// (bit `d` is diagonal `d`) — the word form of
+    /// [`CheckMemory::block_checks`].
     ///
     /// # Panics
     ///
-    /// Panics if `m > 64`.
+    /// Panics if `m > 63`.
     pub fn block_checks_word(&self, family: Family, block_row: usize, block_col: usize) -> u64 {
-        assert!(self.wpf == 1, "packed check-bits require m <= 64");
-        let blk = block_row * self.geom.blocks_per_side() + block_col;
-        self.family(family)[blk]
-    }
-
-    /// One family's packed check words for a whole block row (entry `bc`
-    /// is the word of block `(block_row, bc)`) — lets a row sweep compare
-    /// syndromes against a contiguous slice instead of one indexed load
-    /// per block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m > 64`.
-    pub(crate) fn family_row(&self, family: Family, block_row: usize) -> &[u64] {
-        assert!(self.wpf == 1, "packed check-bits require m <= 64");
-        let bps = self.geom.blocks_per_side();
-        &self.family(family)[block_row * bps..(block_row + 1) * bps]
+        let m = self.packed_m();
+        let (lead, counter) = self.fields(block_row, block_col);
+        match family {
+            Family::Leading => lead,
+            Family::Counter => rev_m(counter, m),
+        }
     }
 
     /// Overwrites the check-bits of one block from packed parity words
-    /// (bit `d` of each word is diagonal `d`) — the word-diff form of
-    /// [`CheckMemory::store_block_checks`], a single store.
+    /// (bit `d` of each word is diagonal `d`) — the word form of
+    /// [`CheckMemory::store_block_checks`].
     ///
     /// # Panics
     ///
-    /// Panics if `m > 64`.
+    /// Panics if `m > 63`.
     pub fn store_block_checks_words(
         &mut self,
         block_row: usize,
@@ -234,10 +237,8 @@ impl CheckMemory {
         lead: u64,
         counter: u64,
     ) {
-        assert!(self.wpf == 1, "packed check-bits require m <= 64");
-        let blk = block_row * self.geom.blocks_per_side() + block_col;
-        self.leading[blk] = lead;
-        self.counter[blk] = counter;
+        let m = self.packed_m();
+        self.store_fields(block_row, block_col, lead, rev_m(counter, m));
     }
 
     /// Overwrites the check-bits of one block from parity vectors.
@@ -267,6 +268,107 @@ impl CheckMemory {
         let b = self.geom.blocks_per_side() as u64;
         2 * self.geom.m() as u64 * b * b
     }
+
+    /// `m`, asserting that a block's field fits one word.
+    #[inline]
+    fn packed_m(&self) -> usize {
+        let m = self.geom.m();
+        assert!(m <= 63, "packed check-bits require m <= 63");
+        m
+    }
+
+    /// Both fields of one block as stored: `(leading, counter)`, the
+    /// counter in rotation order (bit `m − 1 − d` is diagonal `d`).
+    /// Requires `m <= 63`.
+    #[inline]
+    pub(crate) fn fields(&self, block_row: usize, block_col: usize) -> (u64, u64) {
+        let (p, m) = self.field_at(block_row, block_col);
+        (field(&self.leading, p, m), field(&self.counter, p, m))
+    }
+
+    /// XORs rotation-order deltas into one block's fields (see
+    /// [`CheckMemory::fields`]). Requires `m <= 63`.
+    #[inline]
+    pub(crate) fn xor_fields(
+        &mut self,
+        block_row: usize,
+        block_col: usize,
+        lead: u64,
+        counter: u64,
+    ) {
+        let (p, m) = self.field_at(block_row, block_col);
+        xor_field(&mut self.leading, p, m, lead);
+        xor_field(&mut self.counter, p, m, counter);
+    }
+
+    /// Bit position of block `(block_row, block_col)`'s field in the flat
+    /// family vectors (a field never crosses into the next row), and `m`.
+    #[inline]
+    fn field_at(&self, block_row: usize, block_col: usize) -> (usize, usize) {
+        let m = self.geom.m();
+        (block_row * self.stride * 64 + block_col * m, m)
+    }
+
+    /// Overwrites one block's fields with rotation-order values (see
+    /// [`CheckMemory::fields`]). Requires `m <= 63`.
+    pub(crate) fn store_fields(
+        &mut self,
+        block_row: usize,
+        block_col: usize,
+        lead: u64,
+        counter: u64,
+    ) {
+        let (old_lead, old_counter) = self.fields(block_row, block_col);
+        self.xor_fields(block_row, block_col, lead ^ old_lead, counter ^ old_counter);
+    }
+
+    /// The leading and counter field rows of one block row.
+    #[inline]
+    pub(crate) fn rows(&self, block_row: usize) -> (&[u64], &[u64]) {
+        let span = block_row * self.stride..(block_row + 1) * self.stride;
+        (&self.leading[span.clone()], &self.counter[span])
+    }
+
+    /// The leading and counter field rows of a range of block rows,
+    /// contiguous (`stride` words per block row) so that workers owning
+    /// disjoint block rows can split them.
+    #[inline]
+    pub(crate) fn rows_mut(
+        &mut self,
+        block_rows: std::ops::Range<usize>,
+    ) -> (&mut [u64], &mut [u64]) {
+        let span = block_rows.start * self.stride..block_rows.end * self.stride;
+        (&mut self.leading[span.clone()], &mut self.counter[span])
+    }
+}
+
+/// The m-bit field of a packed word row starting at bit `p` (`m <= 63`).
+#[inline]
+pub(crate) fn field(row: &[u64], p: usize, m: usize) -> u64 {
+    let (w, sh) = (p / 64, p % 64);
+    let mut v = row[w] >> sh;
+    if sh + m > 64 {
+        v |= row[w + 1] << (64 - sh);
+    }
+    v & ((1u64 << m) - 1)
+}
+
+/// XORs `v` (at most `m <= 63` bits) into the field of `row` starting at
+/// bit `p`.
+#[inline]
+pub(crate) fn xor_field(row: &mut [u64], p: usize, m: usize, v: u64) {
+    let (w, sh) = (p / 64, p % 64);
+    row[w] ^= v << sh;
+    if sh + m > 64 {
+        row[w + 1] ^= v >> (64 - sh);
+    }
+}
+
+/// Reverses the low `m` bits (`1 <= m <= 64`): swaps diagonal order and
+/// rotation order of a counter field.
+#[inline]
+pub(crate) fn rev_m(w: u64, m: usize) -> u64 {
+    w.reverse_bits() >> (64 - m)
 }
 
 /// A processing crossbar: the 11-cell-deep MAGIC array that evaluates
@@ -491,6 +593,141 @@ mod tests {
         assert!(cmem.bit(Family::Leading, 0, 0, 0));
         cmem.inject_fault(Family::Leading, 0, 0, 0);
         assert!(!cmem.bit(Family::Leading, 0, 0, 0));
+    }
+
+    /// Geometries whose fields straddle a word boundary (all but the
+    /// first): block 12 of (65,5), 9 of (70,7), 7 of (126,9), 21 of (192,3).
+    const LAYOUTS: &[(usize, usize)] = &[(9, 3), (65, 5), (70, 7), (126, 9), (192, 3)];
+
+    /// Every check-bit address `(family, d, br, bc)` of a geometry.
+    fn every_check_bit(geom: BlockGeometry) -> Vec<(Family, usize, usize, usize)> {
+        let (m, bps) = (geom.m(), geom.blocks_per_side());
+        let mut all = Vec::new();
+        for family in [Family::Leading, Family::Counter] {
+            for br in 0..bps {
+                for bc in 0..bps {
+                    for d in 0..m {
+                        all.push((family, d, br, bc));
+                    }
+                }
+            }
+        }
+        all
+    }
+
+    /// Set bits across both families' stored words.
+    fn ones(cmem: &CheckMemory) -> u32 {
+        cmem.leading
+            .iter()
+            .chain(&cmem.counter)
+            .map(|w| w.count_ones())
+            .sum()
+    }
+
+    /// A pseudo-random CMEM, filled through the per-diagonal API.
+    fn scrambled(geom: BlockGeometry, seed: u64) -> CheckMemory {
+        let mut cmem = CheckMemory::new(geom);
+        let mut s = seed | 1;
+        for (family, d, br, bc) in every_check_bit(geom) {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            cmem.set_bit(family, d, br, bc, s >> 63 != 0);
+        }
+        cmem
+    }
+
+    #[test]
+    fn every_check_bit_round_trips_and_touches_no_other() {
+        for &(n, m) in LAYOUTS {
+            let geom = BlockGeometry::new(n, m).unwrap();
+            let mut cmem = CheckMemory::new(geom);
+            let mut seen = std::collections::HashSet::new();
+            for (family, d, br, bc) in every_check_bit(geom) {
+                let at = (family, d, br, bc);
+                assert!(seen.insert((family, cmem.index(family, d, br, bc))));
+                cmem.set_bit(family, d, br, bc, true);
+                assert!(cmem.bit(family, d, br, bc), "{n}/{m} {at:?}");
+                assert_eq!(ones(&cmem), 1, "{n}/{m} set {at:?}");
+                cmem.xor_bit(family, d, br, bc, false);
+                assert_eq!(ones(&cmem), 1, "{n}/{m} xor 0 {at:?}");
+                cmem.xor_bit(family, d, br, bc, true);
+                assert!(!cmem.bit(family, d, br, bc), "{n}/{m} {at:?}");
+                assert_eq!(ones(&cmem), 0, "{n}/{m} xor 1 {at:?}");
+                cmem.inject_fault(family, d, br, bc);
+                assert!(cmem.bit(family, d, br, bc), "{n}/{m} {at:?}");
+                assert_eq!(ones(&cmem), 1, "{n}/{m} fault {at:?}");
+                cmem.set_bit(family, d, br, bc, false);
+                assert_eq!(ones(&cmem), 0, "{n}/{m} clear {at:?}");
+            }
+            // Distinct addresses map to distinct stored bits: the layout is
+            // a bijection onto the 2·m·bps² check-bits.
+            assert_eq!(seen.len() as u64, cmem.memristor_count(), "{n}/{m}");
+        }
+    }
+
+    #[test]
+    fn packed_block_words_match_the_per_diagonal_view() {
+        for &(n, m) in LAYOUTS {
+            let geom = BlockGeometry::new(n, m).unwrap();
+            let cmem = scrambled(geom, (n * m) as u64);
+            let bps = geom.blocks_per_side();
+            for br in 0..bps {
+                for bc in 0..bps {
+                    for family in [Family::Leading, Family::Counter] {
+                        let packed = cmem
+                            .block_checks(family, br, bc)
+                            .iter()
+                            .enumerate()
+                            .fold(0u64, |w, (d, &b)| w | (b as u64) << d);
+                        assert_eq!(
+                            cmem.block_checks_word(family, br, bc),
+                            packed,
+                            "{n}/{m} ({br},{bc}) {family:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn xor_block_words_flips_exactly_the_addressed_block() {
+        for &(n, m) in LAYOUTS {
+            let geom = BlockGeometry::new(n, m).unwrap();
+            let base = scrambled(geom, n as u64);
+            let bps = geom.blocks_per_side();
+            let mask = (1u64 << m) - 1;
+            let mut s = m as u64;
+            for br in 0..bps {
+                for bc in 0..bps {
+                    s = s
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let (lead, counter) = (s & mask, (s >> 32) & mask);
+                    let mut cmem = base.clone();
+                    cmem.xor_block_words(br, bc, lead, counter);
+                    let flipped: u32 = cmem
+                        .leading
+                        .iter()
+                        .zip(&base.leading)
+                        .chain(cmem.counter.iter().zip(&base.counter))
+                        .map(|(a, b)| (a ^ b).count_ones())
+                        .sum();
+                    assert_eq!(flipped, (lead.count_ones() + counter.count_ones()));
+                    for d in 0..m {
+                        for (family, delta) in [(Family::Leading, lead), (Family::Counter, counter)]
+                        {
+                            assert_eq!(
+                                cmem.bit(family, d, br, bc) != base.bit(family, d, br, bc),
+                                delta >> d & 1 != 0,
+                                "{n}/{m} ({br},{bc}) {family:?} d={d}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -153,6 +153,20 @@ impl DiagonalCode {
     /// larger blocks use the scalar [`DiagonalCode::encode`]).
     pub fn encode_words(&self, rows: &[u64]) -> (u64, u64) {
         let m = self.geom.m();
+        let (lead, counter_q) = self.encode_fields(rows);
+        (lead, crate::cmem::rev_m(counter_q, m))
+    }
+
+    /// [`DiagonalCode::encode_words`] before its final reversal: the
+    /// counter parities come back in the rotation order the
+    /// [`CheckMemory`](crate::CheckMemory) stores (bit `m − 1 − d` is
+    /// counter diagonal `d`).
+    ///
+    /// # Panics
+    ///
+    /// As [`DiagonalCode::encode_words`].
+    pub(crate) fn encode_fields(&self, rows: &[u64]) -> (u64, u64) {
+        let m = self.geom.m();
         assert_eq!(rows.len(), m, "block must have {m} row words");
         assert!(m <= 63, "word-parallel encode requires m <= 63");
         let mask = (1u64 << m) - 1;
@@ -174,7 +188,7 @@ impl DiagonalCode {
             // rotations accumulate and one reversal of the sum suffices.
             counter_q ^= rotl(w, m - 1 - lr % m);
         }
-        (lead, (counter_q.reverse_bits() >> (64 - m)) & mask)
+        (lead, counter_q)
     }
 
     /// Computes the syndrome of `block` against stored check-bits.

@@ -23,17 +23,20 @@
 //! The hot path is *word-diff*: before a parallel operation the touched
 //! line words are snapshotted, and afterwards `old XOR new` yields a packed
 //! change mask whose set bits — pre-masked by per-geometry coverage words —
-//! are the only cells whose Leading/Counter check-bits flip, via a
-//! precomputed `(leading, counter)` diagonal-index table built once per
-//! [`BlockGeometry`] and cached process-wide. Block checking, scrubbing and
-//! the consistency oracle run on packed block-row words through
-//! [`DiagonalCode::encode_words`]. The original cell-at-a-time loops are
+//! are the only cells whose Leading/Counter check-bits flip. The
+//! [`CheckMemory`] keeps each block row's check-bits as one packed field
+//! row per family, laid out like a MEM row, so a written row's changes
+//! reach every block of its block row through two whole-word field
+//! rotations (`xor_row_fields`); block-row checks and scrubs recompute
+//! whole field rows with the same kernel and compare or store them word by
+//! word. Single-column changes and blocks wider than a word (`m > 63`)
+//! flip per block or per cell. The original cell-at-a-time loops are
 //! retained under [`SimEngine::ScalarReference`]
 //! (see [`ProtectedMemory::set_engine`]) as the differential baseline; both
 //! engines produce bit-identical state, [`MachineStats`] and
 //! [`CheckReport`]s — only host wall-time differs.
 
-use crate::cmem::CheckMemory;
+use crate::cmem::{field, rev_m, xor_field, CheckMemory};
 use crate::code::{DiagonalCode, ErrorLocation};
 use crate::error::CoreError;
 use crate::geometry::BlockGeometry;
@@ -44,6 +47,7 @@ use pimecc_xbar::{
     SimEngine, XbarError, MAX_FUSED_STRIDE,
 };
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cycle/event accounting for the protected memory.
@@ -135,15 +139,24 @@ impl std::ops::AddAssign for CheckReport {
     }
 }
 
-/// Precomputed diagonal indices for one [`BlockGeometry`]: entry
-/// `[local_row * n + col]` is the Leading (resp. Counter) diagonal of any
-/// cell whose row is `local_row` modulo `m` and whose global column is
-/// `col`. Replaces the per-cell `block_of`/`local_of`/`leading`/`counter`
-/// modular arithmetic on the word-diff hot path.
+/// Precomputed per-geometry tables of the word-diff hot path.
+///
+/// `lead`/`counter`: entry `[local_row * n + col]` is the Leading (resp.
+/// Counter) diagonal of any cell whose row is `local_row` modulo `m` and
+/// whose global column is `col` — the per-cell flips of blocks too wide
+/// for a word (`m > 63`).
+///
+/// `rot_hi`/`rot_lo`: the field masks of [`xor_row_fields`] (`m <= 63`
+/// only), `stride` words per rotation `0..m`. `rot_hi[rot]` selects the
+/// bits a left shift by `rot` keeps inside their m-bit field (field
+/// positions `>= rot`), `rot_lo[rot]` the bits that wrap in from the
+/// right. Bits past `n` are in neither.
 #[derive(Debug)]
 struct DiagTables {
     lead: Vec<u16>,
     counter: Vec<u16>,
+    rot_hi: Vec<u64>,
+    rot_lo: Vec<u64>,
 }
 
 impl DiagTables {
@@ -158,7 +171,26 @@ impl DiagTables {
                 counter[lr * n + c] = geom.counter(lr, c % m) as u16;
             }
         }
-        DiagTables { lead, counter }
+        let stride = n.div_ceil(64);
+        let rots = if m <= 63 { m } else { 0 };
+        let mut rot_hi = vec![0u64; rots * stride];
+        let mut rot_lo = vec![0u64; rots * stride];
+        for rot in 0..rots {
+            for p in 0..n {
+                let (w, bit) = (rot * stride + p / 64, 1u64 << (p % 64));
+                if p % m >= rot {
+                    rot_hi[w] |= bit;
+                } else {
+                    rot_lo[w] |= bit;
+                }
+            }
+        }
+        DiagTables {
+            lead,
+            counter,
+            rot_hi,
+            rot_lo,
+        }
     }
 
     /// The table for `geom`, built once per distinct `(n, m)` and shared
@@ -252,9 +284,6 @@ pub struct ProtectedMemory {
     /// Per block-column: packed mask of the rows lying in covered blocks,
     /// flattened `[block_col * stride + word]`.
     covered_col_masks: Vec<u64>,
-    /// `0..blocks_per_side` — the full block-index list handed to the
-    /// rotate-XOR helpers when a whole line was touched.
-    all_blocks: Vec<usize>,
     /// True while every block is covered (the default policy) — lets the
     /// hot paths skip coverage-mask loads entirely.
     fully_covered: bool,
@@ -270,10 +299,9 @@ pub struct ProtectedMemory {
     blockrow_buf: Vec<u64>,
     blkrow_buf: Vec<usize>,
     blkcol_buf: Vec<usize>,
-    /// Per-(block-row, block-column) ECC accumulators for the fused
-    /// executors and batched loads — `(leading, pre-reversal counter)`
-    /// pairs, flat.
-    eccacc_buf: Vec<(u64, u64)>,
+    /// One row's masked change words (`stride` of them, zero outside the
+    /// written covered columns) on their way into [`xor_row_fields`].
+    chg_buf: Vec<u64>,
     /// Transpose-staging value/mask planes for batched column loads,
     /// row-major `[row * stride + word]`; only touched rows are dirtied
     /// and re-cleared.
@@ -281,16 +309,11 @@ pub struct ProtectedMemory {
     stage_msk: Vec<u64>,
     /// Packed mask of the rows the staging planes currently hold.
     stage_rows: Vec<u64>,
-    /// Sorted-line scratch for batched row loads.
-    sorted_buf: Vec<usize>,
-    /// Per-rotation field masks of the SWAR check sweep, `m * stride`
-    /// words each: `rot_hi[rot]` selects the bits a left-shift by `rot`
-    /// keeps inside its m-bit field, `rot_lo[rot]` the bits wrapped in
-    /// from the right. Built lazily per geometry.
-    rot_hi: Vec<u64>,
-    rot_lo: Vec<u64>,
-    /// Whole-row parity accumulators of the SWAR check sweep (`stride`
-    /// words each: every block column's m-bit field side by side).
+    /// Block columns whose recomputed fields disagree with the CMEM in a
+    /// block-row sweep (ascending).
+    mismatch_buf: Vec<usize>,
+    /// Field-row parity accumulators of the block-row sweeps (`stride`
+    /// words each, laid out like the CMEM's field rows).
     acc_lead: Vec<u64>,
     acc_q: Vec<u64>,
 }
@@ -319,7 +342,6 @@ impl ProtectedMemory {
             tables,
             covered_row_masks: Vec::new(),
             covered_col_masks: Vec::new(),
-            all_blocks: (0..geom.blocks_per_side()).collect(),
             fully_covered: true,
             mask_buf: LineMask::new(geom.n()),
             colmask_buf: Vec::new(),
@@ -330,13 +352,11 @@ impl ProtectedMemory {
             blockrow_buf: Vec::new(),
             blkrow_buf: Vec::new(),
             blkcol_buf: Vec::new(),
-            eccacc_buf: Vec::new(),
+            chg_buf: Vec::new(),
             stage_val: Vec::new(),
             stage_msk: Vec::new(),
             stage_rows: Vec::new(),
-            sorted_buf: Vec::new(),
-            rot_hi: Vec::new(),
-            rot_lo: Vec::new(),
+            mismatch_buf: Vec::new(),
             acc_lead: Vec::new(),
             acc_q: Vec::new(),
         };
@@ -446,25 +466,6 @@ impl ProtectedMemory {
         self.blkrow_buf.extend(self.line_buf.iter().map(|&r| r / m));
         self.blkrow_buf.sort_unstable();
         self.blkrow_buf.dedup();
-    }
-
-    /// Fills `blkcol_buf` with every block-column overlapping a non-zero
-    /// word of `colmask_buf` (ascending). A superset of the exact touched
-    /// set at word granularity — harmless for the diff sweeps, which skip
-    /// empty segments, and much cheaper than walking every set bit.
-    fn fill_block_cols_approx(&mut self) {
-        let m = self.geom.m();
-        let bps = self.geom.blocks_per_side();
-        self.blkcol_buf.clear();
-        for k in 0..self.widx_buf.len() {
-            let wi = self.widx_buf[k];
-            let first = (wi * 64) / m;
-            let last = ((wi * 64 + 63) / m).min(bps - 1);
-            let next = self.blkcol_buf.last().map_or(0, |&b| b + 1);
-            for bc in first.max(next)..=last {
-                self.blkcol_buf.push(bc);
-            }
-        }
     }
 
     /// Fills `blkcol_buf` with the distinct block-columns of the set bits
@@ -578,22 +579,13 @@ impl ProtectedMemory {
     }
 
     /// Loads the packed row words of one block into `blockrow_buf`
-    /// (word-path only; `m <= 63` so each local row is one word). The
-    /// word/shift addressing is block-invariant and resolved once.
+    /// (word-path only; `m <= 63` so each local row is one word).
     fn fill_block_rows(&mut self, block_row: usize, block_col: usize) {
         let m = self.geom.m();
-        let (base_r, c0) = (block_row * m, block_col * m);
-        let (w0, sh) = (c0 / 64, (c0 % 64) as u32);
-        let spill = sh as usize + m > 64;
-        let mmask = (1u64 << m) - 1;
         self.blockrow_buf.clear();
-        for lr in 0..m {
-            let row = self.mem.grid().row_words(base_r + lr);
-            let mut v = row[w0] >> sh;
-            if spill {
-                v |= row[w0 + 1] << (64 - sh);
-            }
-            self.blockrow_buf.push(v & mmask);
+        for r in block_row * m..(block_row + 1) * m {
+            let row = self.mem.grid().row_words(r);
+            self.blockrow_buf.push(field(row, block_col * m, m));
         }
     }
 
@@ -601,9 +593,8 @@ impl ProtectedMemory {
     fn reencode_block(&mut self, block_row: usize, block_col: usize) {
         if self.word_blocks() {
             self.fill_block_rows(block_row, block_col);
-            let (l, k) = self.code.encode_words(&self.blockrow_buf);
-            self.cmem
-                .store_block_checks_words(block_row, block_col, l, k);
+            let (l, q) = self.code.encode_fields(&self.blockrow_buf);
+            self.cmem.store_fields(block_row, block_col, l, q);
         } else {
             let block = self.extract_block(block_row, block_col);
             let (l, k) = self.code.encode(&block);
@@ -632,13 +623,48 @@ impl ProtectedMemory {
             self.mem.write_row(r, &row);
         }
         self.stats.mem_cycles += n as u64;
-        let bps = self.geom.blocks_per_side();
-        for br in 0..bps {
+        for br in 0..self.geom.blocks_per_side() {
+            self.reencode_block_row(br, false);
+        }
+    }
+
+    /// Recomputes and stores the check-bits of every covered block of one
+    /// block row from its current data; with `skip_stuck`, blocks holding a
+    /// pinned cell keep their stored check-bits. On the word path this is
+    /// one field-row sweep ([`ProtectedMemory::sweep_block_row`]) and a
+    /// masked store of whole field rows.
+    fn reencode_block_row(&mut self, block_row: usize, skip_stuck: bool) {
+        let (m, bps, stride) = (self.geom.m(), self.geom.blocks_per_side(), self.stride());
+        if !self.word_blocks() {
             for bc in 0..bps {
-                if self.covered[self.block_index(br, bc)] {
-                    self.reencode_block(br, bc);
+                if self.covered[self.block_index(block_row, bc)]
+                    && !(skip_stuck && self.block_has_stuck(block_row, bc))
+                {
+                    self.reencode_block(block_row, bc);
                 }
             }
+            return;
+        }
+        self.sweep_block_row(block_row);
+        // The fields to store, in `chg_buf`: the covered-column mask of a
+        // block row is exactly the bits of its covered blocks' fields, and
+        // pinned blocks drop out of it.
+        let sel = &mut self.chg_buf;
+        sel.clear();
+        sel.extend_from_slice(
+            &self.covered_row_masks[block_row * stride..(block_row + 1) * stride],
+        );
+        if skip_stuck {
+            for s in self.stuck.iter().filter(|s| s.row / m == block_row) {
+                let p = s.col / m * m;
+                let covered = field(sel, p, m);
+                xor_field(sel, p, m, covered);
+            }
+        }
+        let (lead, counter) = self.cmem.rows_mut(block_row..block_row + 1);
+        for w in 0..stride {
+            lead[w] = lead[w] & !sel[w] | self.acc_lead[w] & sel[w];
+            counter[w] = counter[w] & !sel[w] | self.acc_q[w] & sel[w];
         }
     }
 
@@ -679,71 +705,66 @@ impl ProtectedMemory {
 
     /// Word-diff ECC update for one touched row: XORs the snapshotted old
     /// words (`old_buf[old_base..]`, one per touched word index in
-    /// `widx_buf`) against the row's current words, masks to the touched
-    /// (`colmask_buf`) and covered columns, and flips the check-bits of the
-    /// surviving change bits — one rotated XOR per touched block
-    /// (`blkcol_buf`) when `m` fits a word. Returns whether any touched
-    /// cell of the row was covered.
-    fn apply_row_diff(&mut self, r: usize, old_base: usize) -> bool {
-        let stride = self.stride();
-        let m = self.geom.m();
-        let ProtectedMemory {
-            ref mem,
-            ref mut cmem,
-            ref tables,
-            ref covered_row_masks,
-            ref colmask_buf,
-            ref widx_buf,
-            ref blkcol_buf,
-            ref old_buf,
-            geom,
-            ..
-        } = *self;
-        let cov_base = (r / m) * stride;
-        let mut any_covered = false;
-        for &wi in widx_buf.iter() {
-            if colmask_buf[wi] & covered_row_masks[cov_base + wi] != 0 {
-                any_covered = true;
-                break;
-            }
+    /// `widx_buf`) against the row's current words, masks them to the
+    /// touched (`colmask_buf`) and covered columns, and flips the
+    /// check-bits of the surviving change bits
+    /// ([`ProtectedMemory::flip_row_changes`]). Returns whether any
+    /// touched cell of the row was covered.
+    fn apply_row_diff(&mut self, r: usize, old_base: usize, win: Range<usize>) -> bool {
+        let cov = (r / self.geom.m()) * self.stride();
+        let row = self.mem.grid().row_words(r);
+        let mut covered = 0u64;
+        for (k, &wi) in self.widx_buf.iter().enumerate() {
+            let touched = self.colmask_buf[wi] & self.covered_row_masks[cov + wi];
+            covered |= touched;
+            self.chg_buf[wi] = (row[wi] ^ self.old_buf[old_base + k]) & touched;
         }
-        if !any_covered {
+        if covered == 0 {
             return false;
         }
-        let row = mem.grid().row_words(r);
+        self.flip_row_changes(r, win);
+        true
+    }
+
+    /// Zeroes `chg_buf` to one row of words and returns the field-row
+    /// window of the touched columns in `colmask_buf` (see
+    /// [`mask_window`]) — the set-up of a per-step row-major ECC update.
+    fn start_row_changes(&mut self) -> Range<usize> {
+        self.chg_buf.clear();
+        self.chg_buf.resize(self.stride(), 0);
+        mask_window(&self.colmask_buf, self.geom.m())
+    }
+
+    /// XORs the check-bit deltas of row `r`'s change words (`chg_buf`:
+    /// old ⊕ new, zero outside the written covered columns and outside the
+    /// field-row window `win`) into the CMEM: the field-row kernel
+    /// [`xor_row_fields`] when a field fits a word, per-cell flips
+    /// otherwise.
+    fn flip_row_changes(&mut self, r: usize, win: Range<usize>) {
+        if self.chg_buf[win.clone()].iter().all(|&w| w == 0) {
+            return;
+        }
+        let (n, m) = (self.geom.n(), self.geom.m());
+        let br = r / m;
         if m <= 63 {
-            xor_row_major_changes(cmem, r, blkcol_buf, m, stride, |wi| {
-                let touched = colmask_buf[wi] & covered_row_masks[cov_base + wi];
-                if touched == 0 {
-                    return 0;
-                }
-                let k = widx_buf
-                    .iter()
-                    .position(|&x| x == wi)
-                    .expect("touched word is registered");
-                (row[wi] ^ old_buf[old_base + k]) & touched
-            });
-        } else {
-            let lr_base = (r % m) * geom.n();
-            for (k, &wi) in widx_buf.iter().enumerate() {
-                let touched = colmask_buf[wi] & covered_row_masks[cov_base + wi];
-                if touched == 0 {
-                    continue;
-                }
-                let mut changed = (row[wi] ^ old_buf[old_base + k]) & touched;
-                while changed != 0 {
-                    let c = wi * 64 + changed.trailing_zeros() as usize;
-                    changed &= changed - 1;
-                    cmem.flip_pair(
-                        tables.lead[lr_base + c] as usize,
-                        tables.counter[lr_base + c] as usize,
-                        r / m,
-                        c / m,
-                    );
-                }
+            let (lead, counter) = self.cmem.rows_mut(br..br + 1);
+            xor_row_fields(lead, counter, &self.chg_buf, r % m, m, &self.tables, win);
+            return;
+        }
+        let lr_base = (r % m) * n;
+        for wi in win {
+            let mut changed = self.chg_buf[wi];
+            while changed != 0 {
+                let c = wi * 64 + changed.trailing_zeros() as usize;
+                changed &= changed - 1;
+                self.cmem.flip_pair(
+                    self.tables.lead[lr_base + c] as usize,
+                    self.tables.counter[lr_base + c] as usize,
+                    br,
+                    c / m,
+                );
             }
         }
-        any_covered
     }
 
     /// Bounds-validates a row selection and loads it into `mask_buf`,
@@ -840,7 +861,6 @@ impl ProtectedMemory {
         &mut self,
         op: impl FnOnce(&mut Crossbar) -> std::result::Result<(), XbarError>,
     ) -> Result<()> {
-        self.fill_block_cols_approx();
         self.old_buf.clear();
         for i in 0..self.line_buf.len() {
             let r = self.line_buf[i];
@@ -849,10 +869,11 @@ impl ProtectedMemory {
         op(&mut self.mem)?;
         self.stats.mem_cycles += 1;
         let per_row = self.widx_buf.len();
+        let win = self.start_row_changes();
         let mut any_covered = false;
         for i in 0..self.line_buf.len() {
             let r = self.line_buf[i];
-            any_covered |= self.apply_row_diff(r, i * per_row);
+            any_covered |= self.apply_row_diff(r, i * per_row, win.clone());
         }
         if any_covered {
             self.bill_critical();
@@ -1031,86 +1052,54 @@ impl ProtectedMemory {
             }
         }
         self.stats.mem_cycles += 1;
-        if matches!(axis, LineAxis::Row) {
-            // Line loads are sparse relative to the line; the exact block
-            // walk keeps the rotate sweep to the truly touched blocks.
-            self.fill_block_cols_from_colmask();
-        }
         let cov_base = (line / m) * stride;
-        let mut any_covered = false;
-        for k in 0..self.widx_buf.len() {
-            let wi = self.widx_buf[k];
-            let covered = match axis {
-                LineAxis::Row => self.covered_row_masks[cov_base + wi],
-                LineAxis::Col => self.covered_col_masks[cov_base + wi],
-            };
-            if self.colmask_buf[wi] & covered != 0 {
-                any_covered = true;
-                break;
+        if let LineAxis::Row = axis {
+            let win = self.start_row_changes();
+            let mut covered = 0u64;
+            for (k, &wi) in self.widx_buf.iter().enumerate() {
+                let touched = self.colmask_buf[wi] & self.covered_row_masks[cov_base + wi];
+                covered |= touched;
+                self.chg_buf[wi] = (self.old_buf[k] ^ self.new_buf[wi]) & touched;
             }
-        }
-        if !any_covered {
+            if covered == 0 {
+                return Ok(());
+            }
+            self.flip_row_changes(line, win);
+            self.bill_critical();
             return Ok(());
         }
         let n = self.geom.n();
         let ProtectedMemory {
             ref mut cmem,
             ref tables,
-            ref covered_row_masks,
             ref covered_col_masks,
             ref colmask_buf,
             ref widx_buf,
-            ref blkcol_buf,
             ref old_buf,
             ref new_buf,
             ..
         } = *self;
-        match axis {
-            LineAxis::Row if m <= 63 => {
-                xor_row_major_changes(cmem, line, blkcol_buf, m, stride, |wi| {
-                    let touched = colmask_buf[wi] & covered_row_masks[cov_base + wi];
-                    if touched == 0 {
-                        return 0;
-                    }
-                    let k = widx_buf
-                        .iter()
-                        .position(|&x| x == wi)
-                        .expect("touched word is registered");
-                    (old_buf[k] ^ new_buf[wi]) & touched
-                });
-            }
-            LineAxis::Col if m <= 63 => {
-                xor_col_major_changes(cmem, line, n / m, m, stride, |wi| {
-                    (old_buf[wi] ^ new_buf[wi]) & colmask_buf[wi] & covered_col_masks[cov_base + wi]
-                });
-            }
-            _ => {
-                for (k, &wi) in widx_buf.iter().enumerate() {
-                    let covered = match axis {
-                        LineAxis::Row => covered_row_masks[cov_base + wi],
-                        LineAxis::Col => covered_col_masks[cov_base + wi],
-                    };
-                    let touched = colmask_buf[wi] & covered;
-                    if touched == 0 {
-                        continue;
-                    }
-                    let old = match axis {
-                        LineAxis::Row => old_buf[k],
-                        LineAxis::Col => old_buf[wi],
-                    };
-                    let mut changed = (old ^ new_buf[wi]) & touched;
-                    while changed != 0 {
-                        let x = wi * 64 + changed.trailing_zeros() as usize;
-                        changed &= changed - 1;
-                        let (r, c) = axis.cell(line, x);
-                        let idx = (r % m) * n + c;
-                        cmem.flip_pair(
-                            tables.lead[idx] as usize,
-                            tables.counter[idx] as usize,
-                            r / m,
-                            c / m,
-                        );
-                    }
+        let touched = |wi: usize| colmask_buf[wi] & covered_col_masks[cov_base + wi];
+        if widx_buf.iter().all(|&wi| touched(wi) == 0) {
+            return Ok(());
+        }
+        if m <= 63 {
+            xor_col_major_changes(cmem, line, n / m, m, stride, |wi| {
+                (old_buf[wi] ^ new_buf[wi]) & touched(wi)
+            });
+        } else {
+            for &wi in widx_buf {
+                let mut changed = (old_buf[wi] ^ new_buf[wi]) & touched(wi);
+                while changed != 0 {
+                    let r = wi * 64 + changed.trailing_zeros() as usize;
+                    changed &= changed - 1;
+                    let idx = (r % m) * n + line;
+                    cmem.flip_pair(
+                        tables.lead[idx] as usize,
+                        tables.counter[idx] as usize,
+                        r / m,
+                        line / m,
+                    );
                 }
             }
         }
@@ -1291,55 +1280,30 @@ impl ProtectedMemory {
             self.precheck_rect()?;
         }
         // Transpose of the row-parallel path: the gate reports its change
-        // bits in row-word layout; no column mask is materialized here.
+        // bits in row-word layout, straight into the field-row kernel's
+        // input; no column mask is materialized here.
         self.mem
-            .exec_nor_cols_changed(in_rows, out_row, cols, &mut self.new_buf)?;
+            .exec_nor_cols_changed(in_rows, out_row, cols, &mut self.chg_buf)?;
         self.stats.mem_cycles += 1;
         let stride = self.stride();
-        let m = self.geom.m();
-        let cov_base = (out_row / m) * stride;
-        let fully = self.fully_covered;
-        let ProtectedMemory {
-            ref mut cmem,
-            ref tables,
-            ref covered_row_masks,
-            ref new_buf,
-            ref all_blocks,
-            ref mut stats,
-            ..
-        } = *self;
+        let cov_base = (out_row / self.geom.m()) * stride;
         let any_covered = !cols.is_empty(n)
-            && (fully
+            && (self.fully_covered
                 || cols
                     .iter(n)
-                    .any(|c| covered_row_masks[cov_base + c / 64] >> (c % 64) & 1 != 0));
+                    .any(|c| self.covered_row_masks[cov_base + c / 64] >> (c % 64) & 1 != 0));
         if any_covered {
-            if m <= 63 && fully {
-                xor_row_major_changes(cmem, out_row, all_blocks, m, stride, |wi| new_buf[wi]);
-            } else if m <= 63 {
-                xor_row_major_changes(cmem, out_row, all_blocks, m, stride, |wi| {
-                    new_buf[wi] & covered_row_masks[cov_base + wi]
-                });
-            } else {
-                let lr_base = (out_row % m) * n;
-                for wi in 0..stride {
-                    let mut changed = new_buf[wi] & covered_row_masks[cov_base + wi];
-                    while changed != 0 {
-                        let c = wi * 64 + changed.trailing_zeros() as usize;
-                        changed &= changed - 1;
-                        cmem.flip_pair(
-                            tables.lead[lr_base + c] as usize,
-                            tables.counter[lr_base + c] as usize,
-                            out_row / m,
-                            c / m,
-                        );
-                    }
+            if !self.fully_covered {
+                for (chg, &cov) in self
+                    .chg_buf
+                    .iter_mut()
+                    .zip(&self.covered_row_masks[cov_base..cov_base + stride])
+                {
+                    *chg &= cov;
                 }
             }
-            stats.critical_ops += 1;
-            stats.mem_cycles += 2;
-            stats.transfer_cycles += 2;
-            stats.pc_xor3_ops += 2;
+            self.flip_row_changes(out_row, 0..stride);
+            self.bill_critical();
         }
         Ok(())
     }
@@ -1412,168 +1376,30 @@ impl ProtectedMemory {
     }
 
     /// The fused word-diff pass of a row-parallel init: for every selected
-    /// row and touched block (`blkcol_buf`), the covered cells currently at
-    /// 0 flip their check-bits — one rotated XOR per (row, block) when `m`
-    /// fits a word. The selection must already be bounds-checked.
+    /// row, the touched covered cells currently at 0 flip their check-bits
+    /// ([`ProtectedMemory::flip_row_changes`]). The selection must already
+    /// be bounds-checked. Returns whether any selected row had a touched
+    /// covered cell.
     fn flip_init_diffs(&mut self, rows: &LineSet) -> bool {
-        // Init column masks are sparse (a program's arm group), so the
-        // exact per-bit block walk is cheap and keeps the per-row sweep
-        // from visiting blocks the word-granular approximation would add.
-        self.fill_block_cols_from_colmask();
-        let stride = self.stride();
-        let (n, m) = (self.geom.n(), self.geom.m());
-        let fully = self.fully_covered;
-        // Contiguous selections over a fully covered device aggregate the
-        // whole init: per touched block, the change segments of its rows
-        // accumulate (each rotated per the encode identity) into ONE
-        // packed CMEM XOR — the Θ(blocks) form of the critical update.
-        let contiguous = match rows {
-            LineSet::All => Some(0..n),
-            LineSet::One(i) => Some(*i..*i + 1),
-            LineSet::Range(r) => Some(r.clone()),
-            LineSet::Explicit(_) => None,
-        };
-        if fully && m <= 63 {
-            if let Some(range) = contiguous {
-                let mmask = (1u64 << m) - 1;
-                let ProtectedMemory {
-                    ref mem,
-                    ref mut cmem,
-                    ref colmask_buf,
-                    ref widx_buf,
-                    ref blkcol_buf,
-                    ..
-                } = *self;
-                if range.is_empty() || widx_buf.is_empty() {
-                    return false;
-                }
-                let grid = mem.grid();
-                let (first_br, last_br) = (range.start / m, (range.end - 1) / m);
-                // Per-block accumulators and a per-row change-word memo:
-                // every (row, block) step is then pure ALU on locals. The
-                // fixed capacities bound realistic geometries; wider
-                // shapes take the plain per-(row, block) walk below.
-                const MAX_BLOCKS: usize = 64;
-                const MAX_STRIDE: usize = 32;
-                if blkcol_buf.len() <= MAX_BLOCKS && stride <= MAX_STRIDE {
-                    let mut chg = [0u64; MAX_STRIDE];
-                    let mut acc = [(0u64, 0u64); MAX_BLOCKS];
-                    for br in first_br..=last_br {
-                        let r0 = range.start.max(br * m);
-                        let r1 = range.end.min((br + 1) * m);
-                        acc[..blkcol_buf.len()].fill((0, 0));
-                        for r in r0..r1 {
-                            let row = grid.row_words(r);
-                            for &wi in widx_buf.iter() {
-                                chg[wi] = colmask_buf[wi] & !row[wi];
-                            }
-                            let lr = r - br * m;
-                            let rot_counter = (lr + 1) % m;
-                            for (j, &bc) in blkcol_buf.iter().enumerate() {
-                                let start = bc * m;
-                                let (w0, sh) = (start / 64, start % 64);
-                                let mut seg = chg[w0] >> sh;
-                                if sh + m > 64 && w0 + 1 < stride {
-                                    seg |= chg[w0 + 1] << (64 - sh);
-                                }
-                                seg &= mmask;
-                                if seg != 0 {
-                                    acc[j].0 ^= rotl_m(seg, lr, m, mmask);
-                                    acc[j].1 ^= rotl_m(rev_m(seg, m), rot_counter, m, mmask);
-                                }
-                            }
-                        }
-                        for (j, &bc) in blkcol_buf.iter().enumerate() {
-                            let (lead, counter) = acc[j];
-                            if lead | counter != 0 {
-                                cmem.xor_block_words(br, bc, lead, counter);
-                            }
-                        }
-                    }
-                    return true;
-                }
-                for br in first_br..=last_br {
-                    let r0 = range.start.max(br * m);
-                    let r1 = range.end.min((br + 1) * m);
-                    for &bc in blkcol_buf.iter() {
-                        let start = bc * m;
-                        let (w0, sh) = (start / 64, start % 64);
-                        let spill = sh + m > 64 && w0 + 1 < stride;
-                        let mut lead = 0u64;
-                        let mut counter = 0u64;
-                        for r in r0..r1 {
-                            let row = grid.row_words(r);
-                            let mut seg = (colmask_buf[w0] & !row[w0]) >> sh;
-                            if spill {
-                                seg |= (colmask_buf[w0 + 1] & !row[w0 + 1]) << (64 - sh);
-                            }
-                            seg &= mmask;
-                            if seg != 0 {
-                                let lr = r - br * m;
-                                lead ^= rotl_m(seg, lr, m, mmask);
-                                counter ^= rotl_m(rev_m(seg, m), (lr + 1) % m, m, mmask);
-                            }
-                        }
-                        if lead | counter != 0 {
-                            cmem.xor_block_words(br, bc, lead, counter);
-                        }
-                    }
-                }
-                return true;
-            }
-        }
-        let ProtectedMemory {
-            ref mem,
-            ref mut cmem,
-            ref tables,
-            ref covered_row_masks,
-            ref colmask_buf,
-            ref widx_buf,
-            ref blkcol_buf,
-            ..
-        } = *self;
-        let grid = mem.grid();
+        let (n, m, stride) = (self.geom.n(), self.geom.m(), self.stride());
+        let win = self.start_row_changes();
         let mut any_covered = false;
         for r in rows.iter(n) {
-            let row = grid.row_words(r);
-            let br = r / m;
-            let cov_base = br * stride;
-            if !fully {
-                let mut row_covered = false;
-                for &wi in widx_buf.iter() {
-                    if colmask_buf[wi] & covered_row_masks[cov_base + wi] != 0 {
-                        row_covered = true;
-                        break;
-                    }
-                }
-                if !row_covered {
-                    continue;
-                }
+            let cov = (r / m) * stride;
+            let row = self.mem.grid().row_words(r);
+            let mut covered = 0u64;
+            for &wi in &self.widx_buf {
+                let touched = if self.fully_covered {
+                    self.colmask_buf[wi]
+                } else {
+                    self.colmask_buf[wi] & self.covered_row_masks[cov + wi]
+                };
+                covered |= touched;
+                self.chg_buf[wi] = touched & !row[wi];
             }
-            any_covered = true;
-            if m <= 63 && fully {
-                xor_row_major_changes(cmem, r, blkcol_buf, m, stride, |wi| {
-                    colmask_buf[wi] & !row[wi]
-                });
-            } else if m <= 63 {
-                xor_row_major_changes(cmem, r, blkcol_buf, m, stride, |wi| {
-                    colmask_buf[wi] & covered_row_masks[cov_base + wi] & !row[wi]
-                });
-            } else {
-                let lr_base = (r % m) * n;
-                for &wi in widx_buf.iter() {
-                    let mut changed = colmask_buf[wi] & covered_row_masks[cov_base + wi] & !row[wi];
-                    while changed != 0 {
-                        let c = wi * 64 + changed.trailing_zeros() as usize;
-                        changed &= changed - 1;
-                        cmem.flip_pair(
-                            tables.lead[lr_base + c] as usize,
-                            tables.counter[lr_base + c] as usize,
-                            br,
-                            c / m,
-                        );
-                    }
-                }
+            if covered != 0 {
+                any_covered = true;
+                self.flip_row_changes(r, win.clone());
             }
         }
         any_covered
@@ -1699,15 +1525,15 @@ impl ProtectedMemory {
     /// Compiles a step sequence into a reusable row-parallel
     /// [`FusedProgram`]: the crossbar word plan plus the ECC sweep metadata
     /// (the sequence's touched-column mask, its non-zero word indices, and
-    /// the touched block-columns). Returns `None` when the machine or the
-    /// sequence is ineligible for fused execution — same rules as
+    /// the field-row window they update). Returns `None` when the machine
+    /// or the sequence is ineligible for fused execution — same rules as
     /// [`ProtectedMemory::exec_steps_rows`] — in which case callers replay
     /// through the per-step API.
     pub fn compile_fused_rows(&self, steps: &[ParallelStep]) -> Option<FusedProgram> {
         if !self.supports_fused_rows() || steps.is_empty() {
             return None;
         }
-        let (n, m) = (self.geom.n(), self.geom.m());
+        let n = self.geom.n();
         let stride = self.stride();
         let mut colmask = vec![0u64; stride];
         for step in steps {
@@ -1724,24 +1550,13 @@ impl ProtectedMemory {
         }
         let plan = self.mem.compile_steps_rows(steps)?;
         let widx: Vec<usize> = (0..stride).filter(|&wi| colmask[wi] != 0).collect();
-        let mut blkcols: Vec<usize> = Vec::new();
-        for &wi in &widx {
-            let mut w = colmask[wi];
-            while w != 0 {
-                let c = wi * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                let bc = c / m;
-                if blkcols.last() != Some(&bc) {
-                    blkcols.push(bc);
-                }
-            }
-        }
+        let win = mask_window(&colmask, self.geom.m());
         Some(FusedProgram {
             kind: FusedKind::Rows {
                 plan,
                 colmask,
                 widx,
-                blkcols,
+                win,
             },
             steps: steps.len() as u64,
         })
@@ -1779,11 +1594,10 @@ impl ProtectedMemory {
     /// optionally across a team of `threads` scoped workers. The row range
     /// is split into contiguous chunks at *block-row boundaries* — a pure
     /// function of the geometry and thread count — so each worker owns
-    /// disjoint plane rows **and** disjoint ECC accumulator slots; the
-    /// accumulated deltas are flushed into the CMEM serially in block-row
-    /// order afterwards. State, statistics and check-bits are therefore
-    /// bit-identical for every thread count, including `1` (which runs
-    /// inline without spawning).
+    /// disjoint plane rows **and** the disjoint CMEM field rows of its
+    /// block rows, into which it XORs its rows' ECC deltas. XOR commutes,
+    /// so state, statistics and check-bits are bit-identical for every
+    /// thread count, including `1` (which runs inline without spawning).
     ///
     /// # Panics
     ///
@@ -1812,7 +1626,7 @@ impl ProtectedMemory {
             plan,
             colmask,
             widx,
-            blkcols,
+            win,
         } = &prog.kind
         else {
             panic!("column-parallel program passed to exec_fused_rows");
@@ -1826,65 +1640,66 @@ impl ProtectedMemory {
         debug_assert!(self.supports_fused_rows(), "machine not fused-eligible");
         let lines = rows.len() as u64;
         let per_row = widx.len();
-        let nbcs = blkcols.len();
         let first_br = rows.start / m;
         let nbrs = (rows.end - 1) / m - first_br + 1;
-        self.eccacc_buf.clear();
-        self.eccacc_buf.resize(nbrs * nbcs, (0, 0));
         self.old_buf.clear();
         self.old_buf.resize(rows.len() * per_row, 0);
         let team = threads.max(1).min(nbrs);
-        {
-            let (bits, armed) = self.mem.planes_words_mut();
-            let span = rows.start * stride..rows.end * stride;
-            let bits = &mut bits[span.clone()];
-            let armed = &mut armed[span];
-            if team <= 1 {
-                fused_rows_chunk(
-                    plan,
-                    bits,
-                    armed,
-                    &mut self.old_buf,
-                    &mut self.eccacc_buf,
-                    rows.clone(),
-                    colmask,
-                    widx,
-                    blkcols,
-                    m,
-                    stride,
-                );
-            } else {
-                let (q, rem) = (nbrs / team, nbrs % team);
-                std::thread::scope(|s| {
-                    let mut bits_rest = bits;
-                    let mut armed_rest = armed;
-                    let mut old_rest = &mut self.old_buf[..];
-                    let mut acc_rest = &mut self.eccacc_buf[..];
-                    let mut br_cursor = first_br;
-                    let mut row_cursor = rows.start;
-                    for k in 0..team {
-                        let nb = q + usize::from(k < rem);
-                        let row_end = rows.end.min((br_cursor + nb) * m);
-                        let chunk = row_cursor..row_end;
-                        let nrows = chunk.len();
-                        let (b, rest) = bits_rest.split_at_mut(nrows * stride);
-                        bits_rest = rest;
-                        let (a, rest) = armed_rest.split_at_mut(nrows * stride);
-                        armed_rest = rest;
-                        let (o, rest) = old_rest.split_at_mut(nrows * per_row);
-                        old_rest = rest;
-                        let (e, rest) = acc_rest.split_at_mut(nb * nbcs);
-                        acc_rest = rest;
-                        s.spawn(move || {
-                            fused_rows_chunk(
-                                plan, b, a, o, e, chunk, colmask, widx, blkcols, m, stride,
-                            )
-                        });
-                        br_cursor += nb;
-                        row_cursor = row_end;
-                    }
-                });
-            }
+        let ecc = FusedRowsEcc {
+            colmask,
+            widx,
+            win: win.clone(),
+            m,
+            stride,
+            tables: &self.tables,
+        };
+        let (bits, armed) = self.mem.planes_words_mut();
+        let span = rows.start * stride..rows.end * stride;
+        let bits = &mut bits[span.clone()];
+        let armed = &mut armed[span];
+        let (lead, counter) = self.cmem.rows_mut(first_br..first_br + nbrs);
+        if team <= 1 {
+            fused_rows_chunk(
+                plan,
+                &ecc,
+                bits,
+                armed,
+                &mut self.old_buf,
+                lead,
+                counter,
+                rows,
+            );
+        } else {
+            let (q, rem) = (nbrs / team, nbrs % team);
+            std::thread::scope(|s| {
+                let mut bits_rest = bits;
+                let mut armed_rest = armed;
+                let mut old_rest = &mut self.old_buf[..];
+                let mut lead_rest = lead;
+                let mut counter_rest = counter;
+                let mut br_cursor = first_br;
+                let mut row_cursor = rows.start;
+                for k in 0..team {
+                    let nb = q + usize::from(k < rem);
+                    let row_end = rows.end.min((br_cursor + nb) * m);
+                    let chunk = row_cursor..row_end;
+                    let nrows = chunk.len();
+                    let (b, rest) = bits_rest.split_at_mut(nrows * stride);
+                    bits_rest = rest;
+                    let (a, rest) = armed_rest.split_at_mut(nrows * stride);
+                    armed_rest = rest;
+                    let (o, rest) = old_rest.split_at_mut(nrows * per_row);
+                    old_rest = rest;
+                    let (l, rest) = lead_rest.split_at_mut(nb * stride);
+                    lead_rest = rest;
+                    let (c, rest) = counter_rest.split_at_mut(nb * stride);
+                    counter_rest = rest;
+                    let ecc = &ecc;
+                    s.spawn(move || fused_rows_chunk(plan, ecc, b, a, o, l, c, chunk));
+                    br_cursor += nb;
+                    row_cursor = row_end;
+                }
+            });
         }
         self.mem.record_fused(plan, lines);
         let steps_n = prog.steps;
@@ -1892,14 +1707,6 @@ impl ProtectedMemory {
         self.stats.transfer_cycles += 2 * steps_n;
         self.stats.pc_xor3_ops += 2 * steps_n;
         self.stats.critical_ops += steps_n;
-        for (i, group) in self.eccacc_buf.chunks_exact(nbcs).enumerate() {
-            for (j, &(lead, q)) in group.iter().enumerate() {
-                if lead | q != 0 {
-                    self.cmem
-                        .xor_block_words(first_br + i, blkcols[j], lead, rev_m(q, m));
-                }
-            }
-        }
     }
 
     /// Replays a compiled column-parallel program over a contiguous column
@@ -1925,7 +1732,6 @@ impl ProtectedMemory {
             panic!("row-parallel program passed to exec_fused_cols");
         };
         let (n, m) = (self.geom.n(), self.geom.m());
-        let stride = self.stride();
         assert!(
             !cols.is_empty() && cols.end <= n,
             "fused column range out of bounds"
@@ -1935,16 +1741,10 @@ impl ProtectedMemory {
         let (w0, w1) = (cols.start / 64, (cols.end - 1) / 64);
         let nwords = w1 - w0 + 1;
         let mut mask = [0u64; MAX_FUSED_STRIDE];
-        mask[0] = u64::MAX << (cols.start % 64);
-        let hi = u64::MAX >> (63 - (cols.end - 1) % 64);
-        if w0 == w1 {
-            mask[0] &= hi;
-        } else {
-            for w in mask.iter_mut().take(nwords - 1).skip(1) {
-                *w = u64::MAX;
-            }
-            mask[nwords - 1] = hi;
-        }
+        set_word_range(
+            &mut mask[..nwords],
+            cols.start - w0 * 64..cols.end - w0 * 64,
+        );
         // Snapshot the in-range words of every row the sequence writes.
         self.old_buf.clear();
         for r in plan.touched_lines() {
@@ -1957,180 +1757,51 @@ impl ProtectedMemory {
         self.stats.transfer_cycles += 2 * steps_n;
         self.stats.pc_xor3_ops += 2 * steps_n;
         self.stats.critical_ops += steps_n;
-        // Net ECC: each written row's diff over the column range, rotated
-        // into the touched block-columns; the plan's rows ascend, so one
-        // running block-row group of accumulators suffices.
-        let mmask = (1u64 << m) - 1;
-        let bc0 = cols.start / m;
-        let nbcs = (cols.end - 1) / m - bc0 + 1;
-        self.eccacc_buf.clear();
-        self.eccacc_buf.resize(nbcs, (0, 0));
-        let ProtectedMemory {
-            ref mem,
-            ref mut cmem,
-            ref mut eccacc_buf,
-            ref old_buf,
-            ..
-        } = *self;
-        let grid = mem.grid();
-        let mut cur_br = usize::MAX;
+        // Net ECC: each written row's diff over the column range.
+        self.chg_buf.clear();
+        self.chg_buf.resize(self.stride(), 0);
+        let win = field_window(cols.start, cols.end - 1, m);
         for (ti, r) in plan.touched_lines().enumerate() {
-            let br = r / m;
-            if br != cur_br {
-                if cur_br != usize::MAX {
-                    for (j, a) in eccacc_buf.iter_mut().enumerate() {
-                        if a.0 | a.1 != 0 {
-                            cmem.xor_block_words(cur_br, bc0 + j, a.0, rev_m(a.1, m));
-                            *a = (0, 0);
-                        }
-                    }
-                }
-                cur_br = br;
+            let row = self.mem.grid().row_words(r);
+            let old = &self.old_buf[ti * nwords..(ti + 1) * nwords];
+            for (k, w) in (w0..=w1).enumerate() {
+                self.chg_buf[w] = (row[w] ^ old[k]) & mask[k];
             }
-            let row = grid.row_words(r);
-            let ob = ti * nwords;
-            let lr = r % m;
-            let rot_q = m - 1 - lr;
-            let at = |wi: usize| -> u64 {
-                if wi < w0 || wi > w1 {
-                    0
-                } else {
-                    (row[wi] ^ old_buf[ob + wi - w0]) & mask[wi - w0]
-                }
-            };
-            for j in 0..nbcs {
-                let start = (bc0 + j) * m;
-                let (wb, sh) = (start / 64, start % 64);
-                let mut seg = at(wb) >> sh;
-                if sh + m > 64 && wb + 1 < stride {
-                    seg |= at(wb + 1) << (64 - sh);
-                }
-                seg &= mmask;
-                if seg != 0 {
-                    let a = &mut eccacc_buf[j];
-                    a.0 ^= rotl_m(seg, lr, m, mmask);
-                    a.1 ^= rotl_m(seg, rot_q, m, mmask);
-                }
-            }
-        }
-        if cur_br != usize::MAX {
-            for (j, a) in eccacc_buf.iter_mut().enumerate() {
-                if a.0 | a.1 != 0 {
-                    cmem.xor_block_words(cur_br, bc0 + j, a.0, rev_m(a.1, m));
-                    *a = (0, 0);
-                }
-            }
+            self.flip_row_changes(r, win.clone());
         }
     }
 
-    /// Flushes the dirty block-column accumulators (`blkcol_buf`) of one
-    /// block-row group into the CMEM — the counter sums are bit-reversed
-    /// once here, not per line — and resets them for the next group.
-    fn flush_ecc_group(&mut self, br: usize, m: usize) {
-        if br == usize::MAX {
+    /// Bills `lines` driven-line writes into covered blocks: one MEM cycle
+    /// each plus the critical-operation protocol — the account of
+    /// `lines` calls to [`ProtectedMemory::write_row_cells`] or
+    /// [`ProtectedMemory::write_col_cells`].
+    fn bill_driven_lines(&mut self, lines: u64) {
+        self.stats.mem_cycles += 3 * lines;
+        self.stats.transfer_cycles += 2 * lines;
+        self.stats.pc_xor3_ops += 2 * lines;
+        self.stats.critical_ops += lines;
+    }
+
+    /// Stores the masked words `vals`/`mask` into row `r` (the zero-cycle
+    /// masked write) and flips the check-bits of the cells that changed —
+    /// the per-row body of both batched writers. Requires the fused word
+    /// path (`m <= 63`, `stride <= MAX_FUSED_STRIDE`, full coverage).
+    fn drive_row_words(&mut self, r: usize, vals: &[u64], mask: &[u64]) {
+        let (m, stride) = (self.geom.m(), self.stride());
+        let mut chg = [0u64; MAX_FUSED_STRIDE];
+        let mut changed = 0u64;
+        let row = self.mem.grid().row_words(r);
+        for wi in 0..stride {
+            chg[wi] = (row[wi] ^ vals[wi]) & mask[wi];
+            changed |= chg[wi];
+        }
+        self.mem.write_row_words_masked(r, vals, mask);
+        if changed == 0 {
             return;
         }
-        for i in 0..self.blkcol_buf.len() {
-            let bc = self.blkcol_buf[i];
-            let (lead, q) = self.eccacc_buf[bc];
-            if lead | q != 0 {
-                self.cmem.xor_block_words(br, bc, lead, rev_m(q, m));
-            }
-            self.eccacc_buf[bc] = (0, 0);
-        }
-        self.blkcol_buf.clear();
-    }
-
-    /// Accumulates one row's masked change words into the per-block-column
-    /// ECC accumulators (`eccacc_buf`, indexed by absolute block-column),
-    /// marking newly dirtied block-columns in `blkcol_buf`. `cm` gates
-    /// which words are inspected; `chg` holds the masked old-xor-new words.
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_row_ecc(
-        &mut self,
-        r: usize,
-        cm: &[u64],
-        chg: &[u64],
-        m: usize,
-        mmask: u64,
-        stride: usize,
-        bps: usize,
-    ) {
-        let lr = r % m;
-        let rot_q = m - 1 - lr;
-        let mut next_bc = 0usize;
-        for (wi, &cmw) in cm.iter().enumerate().take(stride) {
-            if cmw == 0 {
-                continue;
-            }
-            let first = (wi * 64) / m;
-            let last = ((wi * 64 + 63) / m).min(bps - 1);
-            for bc in first.max(next_bc)..=last {
-                let start = bc * m;
-                let (w0, sh) = (start / 64, start % 64);
-                let mut seg = chg[w0] >> sh;
-                if sh + m > 64 && w0 + 1 < stride {
-                    seg |= chg[w0 + 1] << (64 - sh);
-                }
-                seg &= mmask;
-                if seg != 0 {
-                    // Duplicate entries are fine: the flush zeroes an
-                    // accumulator on first visit and skips it after, so a
-                    // push-always dirty list beats a membership scan.
-                    self.blkcol_buf.push(bc);
-                    let a = &mut self.eccacc_buf[bc];
-                    a.0 ^= rotl_m(seg, lr, m, mmask);
-                    a.1 ^= rotl_m(seg, rot_q, m, mmask);
-                }
-            }
-            next_bc = last + 1;
-        }
-    }
-
-    /// Drives every row flagged in `stage_rows` with the masked word held
-    /// in the row-major staging planes, restoring the planes to all-zero
-    /// as it goes; ECC deltas accumulate per block-row. The tail of
-    /// [`ProtectedMemory::write_cols_words_batched`] — column billing has
-    /// already been done by the caller, so this only performs the
-    /// (zero-cycle) masked stores and the CMEM updates.
-    fn drive_staged_rows(&mut self, m: usize, mmask: u64, stride: usize, bps: usize) {
-        self.eccacc_buf.clear();
-        self.eccacc_buf.resize(bps, (0, 0));
-        self.blkcol_buf.clear();
-        let mut cur_br = usize::MAX;
-        for rw in 0..self.stage_rows.len() {
-            let mut wbits = self.stage_rows[rw];
-            self.stage_rows[rw] = 0;
-            while wbits != 0 {
-                let r = rw * 64 + wbits.trailing_zeros() as usize;
-                wbits &= wbits - 1;
-                let br = r / m;
-                if br != cur_br {
-                    self.flush_ecc_group(cur_br, m);
-                    cur_br = br;
-                }
-                let base = r * stride;
-                let mut cm = [0u64; MAX_FUSED_STRIDE];
-                let mut nv = [0u64; MAX_FUSED_STRIDE];
-                cm[..stride].copy_from_slice(&self.stage_msk[base..base + stride]);
-                nv[..stride].copy_from_slice(&self.stage_val[base..base + stride]);
-                self.stage_msk[base..base + stride].fill(0);
-                self.stage_val[base..base + stride].fill(0);
-                let mut chg = [0u64; MAX_FUSED_STRIDE];
-                {
-                    let row = self.mem.grid().row_words(r);
-                    for wi in 0..stride {
-                        if cm[wi] != 0 {
-                            chg[wi] = (row[wi] ^ nv[wi]) & cm[wi];
-                        }
-                    }
-                }
-                self.mem
-                    .write_row_words_masked(r, &nv[..stride], &cm[..stride]);
-                self.accumulate_row_ecc(r, &cm, &chg, m, mmask, stride, bps);
-            }
-        }
-        self.flush_ecc_group(cur_br, m);
+        let (lead, counter) = self.cmem.rows_mut(r / m..r / m + 1);
+        let win = mask_window(mask, m);
+        xor_row_fields(lead, counter, &chg[..stride], r % m, m, &self.tables, win);
     }
 
     /// Batched word-plane form of [`ProtectedMemory::write_row_cells`]:
@@ -2139,9 +1810,10 @@ impl ProtectedMemory {
     /// of `masks`/`vals` — instead of a sparse `(col, bool)` list. Every
     /// set `vals` bit must have its `masks` bit set. Listed rows with an
     /// all-zero mask are not driven (and not billed), exactly like an empty
-    /// cell list. Touched plane words are restored to zero, so a caller can
-    /// reuse the planes allocation-free. State and statistics are
-    /// bit-identical to one `write_row_cells` per listed row.
+    /// cell list. The listed rows' plane words are restored to zero, so a
+    /// caller can reuse the planes allocation-free; unlisted rows' words
+    /// are neither read nor cleared. State and statistics are bit-identical
+    /// to one `write_row_cells` per listed row.
     ///
     /// # Errors
     ///
@@ -2175,13 +1847,12 @@ impl ProtectedMemory {
             self.supports_fused_rows(),
             "word-plane writes require the fused word path"
         );
-        let (n, m, stride) = (self.geom.n(), self.geom.m(), self.stride());
-        let mmask = (1u64 << m) - 1;
-        let bps = self.geom.blocks_per_side();
+        let (n, stride) = (self.geom.n(), self.stride());
         let tail_keep = match n % 64 {
             0 => u64::MAX,
             t => (1u64 << t) - 1,
         };
+        let mut driven = 0u64;
         for &r in lines {
             if r >= n {
                 return Err(CoreError::OutOfBounds { row: r, col: 0, n });
@@ -2189,49 +1860,20 @@ impl ProtectedMemory {
             if masks[r * stride + stride - 1] & !tail_keep != 0 {
                 return Err(CoreError::OutOfBounds { row: r, col: n, n });
             }
-        }
-        self.sorted_buf.clear();
-        self.sorted_buf.extend(
-            lines
-                .iter()
-                .copied()
-                .filter(|&r| masks[r * stride..(r + 1) * stride].iter().any(|&w| w != 0)),
-        );
-        self.sorted_buf.sort_unstable();
-        self.eccacc_buf.clear();
-        self.eccacc_buf.resize(bps, (0, 0));
-        self.blkcol_buf.clear();
-        let mut cur_br = usize::MAX;
-        for idx in 0..self.sorted_buf.len() {
-            let r = self.sorted_buf[idx];
-            let br = r / m;
-            if br != cur_br {
-                self.flush_ecc_group(cur_br, m);
-                cur_br = br;
+            if masks[r * stride..(r + 1) * stride].iter().any(|&w| w != 0) {
+                driven += 1;
             }
-            let base = r * stride;
-            let mut cm = [0u64; MAX_FUSED_STRIDE];
-            let mut nv = [0u64; MAX_FUSED_STRIDE];
-            cm[..stride].copy_from_slice(&masks[base..base + stride]);
-            nv[..stride].copy_from_slice(&vals[base..base + stride]);
-            masks[base..base + stride].fill(0);
-            vals[base..base + stride].fill(0);
-            let mut chg = [0u64; MAX_FUSED_STRIDE];
-            {
-                let row = self.mem.grid().row_words(r);
-                for wi in 0..stride {
-                    if cm[wi] != 0 {
-                        chg[wi] = (row[wi] ^ nv[wi]) & cm[wi];
-                    }
-                }
-            }
-            self.mem
-                .write_row_words_masked(r, &nv[..stride], &cm[..stride]);
-            self.stats.mem_cycles += 1;
-            self.bill_critical();
-            self.accumulate_row_ecc(r, &cm, &chg, m, mmask, stride, bps);
         }
-        self.flush_ecc_group(cur_br, m);
+        self.bill_driven_lines(driven);
+        for &r in lines {
+            let span = r * stride..(r + 1) * stride;
+            if masks[span.clone()].iter().all(|&w| w == 0) {
+                continue;
+            }
+            self.drive_row_words(r, &vals[span.clone()], &masks[span.clone()]);
+            masks[span.clone()].fill(0);
+            vals[span].fill(0);
+        }
         Ok(())
     }
 
@@ -2241,8 +1883,9 @@ impl ProtectedMemory {
     /// — and the sweep transposes them 64×64 tile by tile into the
     /// row-major staging planes before driving each touched row once.
     /// Every set `vals` bit must have its `masks` bit set. Listed columns
-    /// with an all-zero mask are not driven (and not billed). Touched plane
-    /// words are restored to zero. State and statistics are bit-identical
+    /// with an all-zero mask are not driven (and not billed). The listed
+    /// columns' plane words are restored to zero; unlisted columns' words
+    /// are neither read nor cleared. State and statistics are bit-identical
     /// to one `write_col_cells` per listed column.
     ///
     /// # Errors
@@ -2277,13 +1920,12 @@ impl ProtectedMemory {
             self.supports_fused_rows(),
             "word-plane writes require the fused word path"
         );
-        let (n, m, stride) = (self.geom.n(), self.geom.m(), self.stride());
-        let mmask = (1u64 << m) - 1;
-        let bps = self.geom.blocks_per_side();
+        let (n, stride) = (self.geom.n(), self.stride());
         let tail_keep = match n % 64 {
             0 => u64::MAX,
             t => (1u64 << t) - 1,
         };
+        let mut listed = [0u64; MAX_FUSED_STRIDE];
         let mut driven = 0u64;
         for &c in lines {
             if c >= n {
@@ -2292,6 +1934,7 @@ impl ProtectedMemory {
             if masks[c * stride + stride - 1] & !tail_keep != 0 {
                 return Err(CoreError::OutOfBounds { row: n, col: c, n });
             }
+            listed[c / 64] |= 1u64 << (c % 64);
             if masks[c * stride..(c + 1) * stride].iter().any(|&w| w != 0) {
                 driven += 1;
             }
@@ -2299,20 +1942,25 @@ impl ProtectedMemory {
         self.stage_val.resize(n * stride, 0);
         self.stage_msk.resize(n * stride, 0);
         self.stage_rows.resize(n.div_ceil(64), 0);
-        // Transpose the column planes into row-major staging, one 64×64
-        // tile at a time; the planes are zeroed as they are consumed.
-        for cw in 0..stride {
-            let c0 = cw * 64;
-            let cols = 64.min(n - c0);
+        // Transpose the listed columns' planes into row-major staging, one
+        // 64×64 tile at a time; their plane words are zeroed as they are
+        // consumed.
+        for (cw, &pick) in listed.iter().enumerate().take(stride) {
+            if pick == 0 {
+                continue;
+            }
             for rw in 0..stride {
                 let mut mt = [0u64; 64];
                 let mut vt = [0u64; 64];
                 let mut any = 0u64;
-                for (i, (mo, vo)) in mt.iter_mut().zip(vt.iter_mut()).enumerate().take(cols) {
-                    let base = (c0 + i) * stride + rw;
-                    *mo = masks[base];
-                    *vo = vals[base];
-                    any |= *mo;
+                let mut cols = pick;
+                while cols != 0 {
+                    let i = cols.trailing_zeros() as usize;
+                    cols &= cols - 1;
+                    let base = (cw * 64 + i) * stride + rw;
+                    mt[i] = masks[base];
+                    vt[i] = vals[base];
+                    any |= mt[i];
                     masks[base] = 0;
                     vals[base] = 0;
                 }
@@ -2334,11 +1982,23 @@ impl ProtectedMemory {
             }
         }
         // Per-column billing, exactly as `write_col_cells`.
-        self.stats.mem_cycles += 3 * driven;
-        self.stats.transfer_cycles += 2 * driven;
-        self.stats.pc_xor3_ops += 2 * driven;
-        self.stats.critical_ops += driven;
-        self.drive_staged_rows(m, mmask, stride, bps);
+        self.bill_driven_lines(driven);
+        // Drive every staged row once, restoring the staging planes to zero.
+        for rw in 0..self.stage_rows.len() {
+            let mut staged = std::mem::take(&mut self.stage_rows[rw]);
+            while staged != 0 {
+                let r = rw * 64 + staged.trailing_zeros() as usize;
+                staged &= staged - 1;
+                let span = r * stride..(r + 1) * stride;
+                let mut cm = [0u64; MAX_FUSED_STRIDE];
+                let mut nv = [0u64; MAX_FUSED_STRIDE];
+                cm[..stride].copy_from_slice(&self.stage_msk[span.clone()]);
+                nv[..stride].copy_from_slice(&self.stage_val[span.clone()]);
+                self.stage_msk[span.clone()].fill(0);
+                self.stage_val[span].fill(0);
+                self.drive_row_words(r, &nv[..stride], &cm[..stride]);
+            }
+        }
         Ok(())
     }
 
@@ -2577,24 +2237,37 @@ impl ProtectedMemory {
         Ok(loc)
     }
 
-    /// Word-diff [`ProtectedMemory::check_block`]: syndromes are two packed
-    /// XORs of recomputed vs stored parity words; a single data error is
-    /// located from the two lone syndrome bits.
+    /// Word-path [`ProtectedMemory::check_block`]: recomputes the block's
+    /// fields in rotation order and compares them with the stored ones
+    /// ([`ProtectedMemory::resolve_block`]).
     fn check_block_word(&mut self, block_row: usize, block_col: usize) -> ErrorLocation {
-        let m = self.geom.m();
         self.fill_block_rows(block_row, block_col);
-        let (lead_calc, counter_calc) = self.code.encode_words(&self.blockrow_buf);
-        let syn_lead = lead_calc
-            ^ self
-                .cmem
-                .block_checks_word(Family::Leading, block_row, block_col);
-        let syn_counter = counter_calc
-            ^ self
-                .cmem
-                .block_checks_word(Family::Counter, block_row, block_col);
+        let (lead, q) = self.code.encode_fields(&self.blockrow_buf);
         self.stats.blocks_checked += 1;
-        match (syn_lead.count_ones(), syn_counter.count_ones()) {
-            (0, 0) => ErrorLocation::None,
+        self.resolve_block(block_row, block_col, lead, q)
+    }
+
+    /// Compares one block's freshly computed fields `(lead, q)` (rotation
+    /// order, see [`CheckMemory`]) with the stored ones and applies the
+    /// single-error correction the syndrome calls for. The counter
+    /// syndrome is reversed into diagonal order only when it is non-zero.
+    /// Statistics match the scalar checker exactly. Returns the location
+    /// acted upon.
+    fn resolve_block(
+        &mut self,
+        block_row: usize,
+        block_col: usize,
+        lead: u64,
+        q: u64,
+    ) -> ErrorLocation {
+        let (stored_lead, stored_q) = self.cmem.fields(block_row, block_col);
+        let syn_lead = lead ^ stored_lead;
+        if syn_lead | (q ^ stored_q) == 0 {
+            return ErrorLocation::None;
+        }
+        let m = self.geom.m();
+        let syn_counter = rev_m(q ^ stored_q, m);
+        let loc = match (syn_lead.count_ones(), syn_counter.count_ones()) {
             (1, 1) => {
                 let (local_row, local_col) = self.geom.locate(
                     syn_lead.trailing_zeros() as usize,
@@ -2605,46 +2278,38 @@ impl ProtectedMemory {
                 if self.is_stuck(r, c) {
                     // Write-back refused by the wedged cell (see the
                     // scalar checker): reclassify as uncorrectable.
-                    self.stats.errors_uncorrectable += 1;
-                    return ErrorLocation::Uncorrectable;
-                }
-                let corrected = !self.mem.bit(r, c);
-                self.mem.write_bit(r, c, corrected);
-                self.stats.errors_corrected += 1;
-                ErrorLocation::Data {
-                    local_row,
-                    local_col,
+                    ErrorLocation::Uncorrectable
+                } else {
+                    let corrected = !self.mem.bit(r, c);
+                    self.mem.write_bit(r, c, corrected);
+                    ErrorLocation::Data {
+                        local_row,
+                        local_col,
+                    }
                 }
             }
             (1, 0) => {
                 let diagonal = syn_lead.trailing_zeros() as usize;
-                self.cmem.set_bit(
-                    Family::Leading,
-                    diagonal,
-                    block_row,
-                    block_col,
-                    lead_calc >> diagonal & 1 != 0,
-                );
-                self.stats.errors_corrected += 1;
+                let value = lead >> diagonal & 1 != 0;
+                self.cmem
+                    .set_bit(Family::Leading, diagonal, block_row, block_col, value);
                 ErrorLocation::LeadingCheck { diagonal }
             }
             (0, 1) => {
                 let diagonal = syn_counter.trailing_zeros() as usize;
-                self.cmem.set_bit(
-                    Family::Counter,
-                    diagonal,
-                    block_row,
-                    block_col,
-                    counter_calc >> diagonal & 1 != 0,
-                );
-                self.stats.errors_corrected += 1;
+                let value = q >> (m - 1 - diagonal) & 1 != 0;
+                self.cmem
+                    .set_bit(Family::Counter, diagonal, block_row, block_col, value);
                 ErrorLocation::CounterCheck { diagonal }
             }
-            _ => {
-                self.stats.errors_uncorrectable += 1;
-                ErrorLocation::Uncorrectable
-            }
+            _ => ErrorLocation::Uncorrectable,
+        };
+        if loc == ErrorLocation::Uncorrectable {
+            self.stats.errors_uncorrectable += 1;
+        } else {
+            self.stats.errors_corrected += 1;
         }
+        loc
     }
 
     /// Checks a whole row of blocks — the paper's pre-execution input check
@@ -2681,268 +2346,74 @@ impl ProtectedMemory {
                 self.check_block(block_row, bc)?
             };
             report.checked += 1;
-            match loc {
-                ErrorLocation::None => {}
-                ErrorLocation::Uncorrectable => report.uncorrectable += 1,
-                _ => report.corrected += 1,
-            }
+            tally(&mut report, loc);
         }
         Ok(report)
     }
 
-    /// Fully-covered word-path fast sweep of one block row: reads each of
-    /// the `m` MEM rows **once**, rotates *every* block column's m-bit
-    /// field simultaneously (two whole-row SWAR field rotations per MEM
-    /// row — see [`ProtectedMemory::field_rot_xor`] — instead of `bps`
-    /// scalar rotations each), then compares all `bps` blocks against the
-    /// CMEM. Outcome, reports and statistics are identical to checking
-    /// block by block — the per-cell parity contributions are the same
-    /// XORs, corrections are block-local, and each block is visited
-    /// exactly once.
-    fn check_block_row_sweep(&mut self, block_row: usize) -> CheckReport {
-        let m = self.geom.m();
-        let bps = self.geom.blocks_per_side();
-        let stride = self.mem.grid().stride();
-        let mmask = (1u64 << m) - 1;
-        self.ensure_rot_masks(m, stride, bps);
+    /// Recomputes the fields of every block of one block row into
+    /// `acc_lead`/`acc_q`, laid out like the CMEM's field rows: each of the
+    /// block row's `m` MEM rows is read once and folded in by
+    /// [`xor_row_fields`], the kernel that also maintains the check-bits.
+    /// Requires `m <= 63`.
+    fn sweep_block_row(&mut self, block_row: usize) {
+        let (m, stride) = (self.geom.m(), self.stride());
         self.acc_lead.clear();
         self.acc_lead.resize(stride, 0);
         self.acc_q.clear();
         self.acc_q.resize(stride, 0);
-        {
-            let grid = self.mem.grid();
-            for lr in 0..m {
-                let row = grid.row_words(block_row * m + lr);
-                let rot_q = m - 1 - lr;
-                Self::field_rot_xor(
-                    &mut self.acc_lead,
-                    row,
-                    lr,
-                    m,
-                    &self.rot_hi[lr * stride..(lr + 1) * stride],
-                    &self.rot_lo[lr * stride..(lr + 1) * stride],
-                );
-                Self::field_rot_xor(
-                    &mut self.acc_q,
-                    row,
-                    rot_q,
-                    m,
-                    &self.rot_hi[rot_q * stride..(rot_q + 1) * stride],
-                    &self.rot_lo[rot_q * stride..(rot_q + 1) * stride],
-                );
-            }
+        let grid = self.mem.grid();
+        for lr in 0..m {
+            let row = grid.row_words(block_row * m + lr);
+            xor_row_fields(
+                &mut self.acc_lead,
+                &mut self.acc_q,
+                row,
+                lr,
+                m,
+                &self.tables,
+                0..stride,
+            );
         }
+    }
+
+    /// Fully-covered word-path check of one block row: recomputes every
+    /// block's fields at once ([`ProtectedMemory::sweep_block_row`]),
+    /// compares them with the CMEM's field rows word by word, and descends
+    /// only into the blocks whose fields differ. Outcome, reports and
+    /// statistics are identical to checking block by block — the per-cell
+    /// parity contributions are the same XORs, corrections are
+    /// block-local, and mismatching blocks are resolved in ascending order.
+    fn check_block_row_sweep(&mut self, block_row: usize) -> CheckReport {
+        let (m, bps) = (self.geom.m(), self.geom.blocks_per_side());
+        self.sweep_block_row(block_row);
         let mut report = CheckReport {
             checked: bps,
             ..CheckReport::default()
         };
         self.stats.blocks_checked += bps as u64;
-        // Compare all blocks against the CMEM's contiguous per-row check
-        // words; only mismatching blocks (rare) take the correction path.
-        // `sorted_buf` is free here — the sweep never runs inside the
-        // batched writers that own it.
-        self.sorted_buf.clear();
-        {
-            let ProtectedMemory {
-                ref cmem,
-                ref acc_lead,
-                ref acc_q,
-                ref mut sorted_buf,
-                ..
-            } = *self;
-            let lead_stored = cmem.family_row(Family::Leading, block_row);
-            let ctr_stored = cmem.family_row(Family::Counter, block_row);
-            for bc in 0..bps {
-                let (lead, ctr) = Self::sweep_fields(acc_lead, acc_q, bc, m, stride, mmask);
-                if (lead ^ lead_stored[bc]) | (ctr ^ ctr_stored[bc]) != 0 {
-                    sorted_buf.push(bc);
+        self.mismatch_buf.clear();
+        let (lead, counter) = self.cmem.rows(block_row);
+        for w in 0..lead.len() {
+            let mut diff = (lead[w] ^ self.acc_lead[w]) | (counter[w] ^ self.acc_q[w]);
+            while diff != 0 {
+                let bc = (w * 64 + diff.trailing_zeros() as usize) / m;
+                diff &= diff - 1;
+                if self.mismatch_buf.last() != Some(&bc) {
+                    self.mismatch_buf.push(bc);
                 }
             }
         }
-        for i in 0..self.sorted_buf.len() {
-            let bc = self.sorted_buf[i];
-            let (lead, ctr) = Self::sweep_fields(&self.acc_lead, &self.acc_q, bc, m, stride, mmask);
-            let syn_lead = lead ^ self.cmem.block_checks_word(Family::Leading, block_row, bc);
-            let syn_ctr = ctr ^ self.cmem.block_checks_word(Family::Counter, block_row, bc);
-            self.resolve_block_mismatch(block_row, bc, lead, ctr, syn_lead, syn_ctr, &mut report);
+        for i in 0..self.mismatch_buf.len() {
+            let bc = self.mismatch_buf[i];
+            let (lead, q) = (
+                field(&self.acc_lead, bc * m, m),
+                field(&self.acc_q, bc * m, m),
+            );
+            let loc = self.resolve_block(block_row, bc, lead, q);
+            tally(&mut report, loc);
         }
         report
-    }
-
-    /// Extracts one block column's computed parity words out of the sweep
-    /// accumulators: the leading field as-is, the counter field bit-reversed
-    /// (the Q-trick's single reversal per block).
-    #[inline]
-    fn sweep_fields(
-        acc_lead: &[u64],
-        acc_q: &[u64],
-        bc: usize,
-        m: usize,
-        stride: usize,
-        mmask: u64,
-    ) -> (u64, u64) {
-        let start = bc * m;
-        let (w0, sh) = (start / 64, (start % 64) as u32);
-        let mut lead = acc_lead[w0] >> sh;
-        let mut q = acc_q[w0] >> sh;
-        if sh as usize + m > 64 && w0 + 1 < stride {
-            lead |= acc_lead[w0 + 1] << (64 - sh);
-            q |= acc_q[w0 + 1] << (64 - sh);
-        }
-        (lead & mmask, rev_m(q & mmask, m))
-    }
-
-    /// XORs a whole-row **per-field left rotation** into `acc`: every
-    /// aligned m-bit field of `row` (one per block column, `bps` of them
-    /// side by side) is rotated left by `rot` and accumulated, in
-    /// `O(stride)` word operations instead of one scalar `rotl_m` per
-    /// block. The identity per field is the usual barrel rotate: a big
-    /// shift left by `rot` places the bits that stay inside their field
-    /// (`hi` mask — positions `>= rot` within the field), a big shift
-    /// right by `m - rot` places the wrapped bits (`lo` mask). Bits past
-    /// `bps * m` are excluded by both masks.
-    #[inline]
-    fn field_rot_xor(acc: &mut [u64], row: &[u64], rot: usize, m: usize, hi: &[u64], lo: &[u64]) {
-        let stride = acc.len();
-        if rot == 0 {
-            for w in 0..stride {
-                acc[w] ^= row[w] & hi[w];
-            }
-            return;
-        }
-        let sh = m - rot;
-        let mut prev = 0u64;
-        for w in 0..stride {
-            let a = row[w] << rot | prev >> (64 - rot);
-            let next = if w + 1 < stride { row[w + 1] } else { 0 };
-            let b = row[w] >> sh | next << (64 - sh);
-            acc[w] ^= (a & hi[w]) | (b & lo[w]);
-            prev = row[w];
-        }
-    }
-
-    /// Builds the per-rotation field masks of the SWAR sweep (cached; a
-    /// pure function of the geometry).
-    fn ensure_rot_masks(&mut self, m: usize, stride: usize, bps: usize) {
-        if self.rot_hi.len() == m * stride {
-            return;
-        }
-        self.rot_hi = vec![0; m * stride];
-        self.rot_lo = vec![0; m * stride];
-        for rot in 0..m {
-            for p in 0..bps * m {
-                let (w, bit) = (p / 64, 1u64 << (p % 64));
-                if p % m >= rot {
-                    self.rot_hi[rot * stride + w] |= bit;
-                } else {
-                    self.rot_lo[rot * stride + w] |= bit;
-                }
-            }
-        }
-    }
-
-    /// Compares one block's freshly computed parity words against the CMEM
-    /// and applies the single-error correction — the tail half of
-    /// [`ProtectedMemory::check_block_word`], shared by the block-line
-    /// sweeps. Statistics and report counts match the per-block checker
-    /// exactly.
-    fn resolve_block_word(
-        &mut self,
-        block_row: usize,
-        block_col: usize,
-        lead_calc: u64,
-        counter_calc: u64,
-        report: &mut CheckReport,
-    ) {
-        let syn_lead = lead_calc
-            ^ self
-                .cmem
-                .block_checks_word(Family::Leading, block_row, block_col);
-        let syn_counter = counter_calc
-            ^ self
-                .cmem
-                .block_checks_word(Family::Counter, block_row, block_col);
-        self.stats.blocks_checked += 1;
-        report.checked += 1;
-        if syn_lead | syn_counter == 0 {
-            return;
-        }
-        self.resolve_block_mismatch(
-            block_row,
-            block_col,
-            lead_calc,
-            counter_calc,
-            syn_lead,
-            syn_counter,
-            report,
-        );
-    }
-
-    /// The error half of [`ProtectedMemory::resolve_block_word`]: applies
-    /// the single-error correction for a block whose syndromes are already
-    /// known non-zero. Split out so bulk sweeps can compare syndromes
-    /// against contiguous CMEM slices and only fall in here for the rare
-    /// mismatching block.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_block_mismatch(
-        &mut self,
-        block_row: usize,
-        block_col: usize,
-        lead_calc: u64,
-        counter_calc: u64,
-        syn_lead: u64,
-        syn_counter: u64,
-        report: &mut CheckReport,
-    ) {
-        let m = self.geom.m();
-        match (syn_lead.count_ones(), syn_counter.count_ones()) {
-            (1, 1) => {
-                let (local_row, local_col) = self.geom.locate(
-                    syn_lead.trailing_zeros() as usize,
-                    syn_counter.trailing_zeros() as usize,
-                );
-                let (r, c) = (block_row * m + local_row, block_col * m + local_col);
-                self.stats.mem_cycles += 1;
-                if self.is_stuck(r, c) {
-                    // Write-back refused by the wedged cell: uncorrectable.
-                    self.stats.errors_uncorrectable += 1;
-                    report.uncorrectable += 1;
-                } else {
-                    let corrected = !self.mem.bit(r, c);
-                    self.mem.write_bit(r, c, corrected);
-                    self.stats.errors_corrected += 1;
-                    report.corrected += 1;
-                }
-            }
-            (1, 0) => {
-                let diagonal = syn_lead.trailing_zeros() as usize;
-                self.cmem.set_bit(
-                    Family::Leading,
-                    diagonal,
-                    block_row,
-                    block_col,
-                    lead_calc >> diagonal & 1 != 0,
-                );
-                self.stats.errors_corrected += 1;
-                report.corrected += 1;
-            }
-            (0, 1) => {
-                let diagonal = syn_counter.trailing_zeros() as usize;
-                self.cmem.set_bit(
-                    Family::Counter,
-                    diagonal,
-                    block_row,
-                    block_col,
-                    counter_calc >> diagonal & 1 != 0,
-                );
-                self.stats.errors_corrected += 1;
-                report.corrected += 1;
-            }
-            _ => {
-                self.stats.errors_uncorrectable += 1;
-                report.uncorrectable += 1;
-            }
-        }
     }
 
     /// Transpose of [`ProtectedMemory::check_block_row`]: checks a whole
@@ -2977,44 +2448,36 @@ impl ProtectedMemory {
                 self.check_block(br, block_col)?
             };
             report.checked += 1;
-            match loc {
-                ErrorLocation::None => {}
-                ErrorLocation::Uncorrectable => report.uncorrectable += 1,
-                _ => report.corrected += 1,
-            }
+            tally(&mut report, loc);
         }
         Ok(report)
     }
 
     /// Column transpose of [`ProtectedMemory::check_block_row_sweep`]: the
-    /// blocks of one block column share their word/shift addressing, so
-    /// each block's parities come straight off its `m` row words without
-    /// staging, one bit reversal per block.
+    /// blocks of one block column share their field position, so each
+    /// block's fields come straight off its `m` row words in rotation
+    /// order and are compared without any bit reversal.
     fn check_block_col_sweep(&mut self, block_col: usize) -> CheckReport {
-        let m = self.geom.m();
-        let bps = self.geom.blocks_per_side();
-        let stride = self.mem.grid().stride();
+        let (m, bps) = (self.geom.m(), self.geom.blocks_per_side());
         let mmask = (1u64 << m) - 1;
-        let start = block_col * m;
-        let (w0, sh) = (start / 64, (start % 64) as u32);
-        let spill = sh as usize + m > 64;
-        let mut report = CheckReport::default();
+        let p = block_col * m;
+        let mut report = CheckReport {
+            checked: bps,
+            ..CheckReport::default()
+        };
+        self.stats.blocks_checked += bps as u64;
         for br in 0..bps {
             let (mut lead, mut q) = (0u64, 0u64);
-            {
-                let grid = self.mem.grid();
-                for lr in 0..m {
-                    let row = grid.row_words(br * m + lr);
-                    let mut seg = row[w0] >> sh;
-                    if spill && w0 + 1 < stride {
-                        seg |= row[w0 + 1] << (64 - sh);
-                    }
-                    seg &= mmask;
-                    lead ^= rotl_m(seg, lr, m, mmask);
-                    q ^= rotl_m(seg, m - 1 - lr, m, mmask);
-                }
+            let grid = self.mem.grid();
+            for lr in 0..m {
+                let seg = field(grid.row_words(br * m + lr), p, m);
+                lead ^= rotl_m(seg, lr, m, mmask);
+                q ^= rotl_m(seg, m - 1 - lr, m, mmask);
             }
-            self.resolve_block_word(br, block_col, lead, rev_m(q, m), &mut report);
+            if (lead, q) != self.cmem.fields(br, block_col) {
+                let loc = self.resolve_block(br, block_col, lead, q);
+                tally(&mut report, loc);
+            }
         }
         report
     }
@@ -3083,18 +2546,11 @@ impl ProtectedMemory {
     /// re-bases the code on whatever the data now holds, clearing any
     /// stale parity left by the §III false-positive window.
     pub fn scrub(&mut self) {
-        let bps = self.geom.blocks_per_side();
-        for br in 0..bps {
-            for bc in 0..bps {
-                // A block holding a pinned cell is never re-based: the
-                // stored data there is not what the controller drove, and
-                // absorbing the wedged value would blind every later check
-                // to the hard fault.
-                if !self.covered[self.block_index(br, bc)] || self.block_has_stuck(br, bc) {
-                    continue;
-                }
-                self.reencode_block(br, bc);
-            }
+        // A block holding a pinned cell is never re-based: the stored data
+        // there is not what the controller drove, and absorbing the wedged
+        // value would blind every later check to the hard fault.
+        for br in 0..self.geom.blocks_per_side() {
+            self.reencode_block_row(br, true);
         }
         // Cost: every row is read and re-encoded once.
         self.stats.mem_cycles += self.geom.n() as u64;
@@ -3108,14 +2564,7 @@ impl ProtectedMemory {
     /// Blocks holding pinned cells are skipped, as in
     /// [`ProtectedMemory::scrub`].
     pub fn scrub_block_row(&mut self, block_row: usize) {
-        let bps = self.geom.blocks_per_side();
-        for bc in 0..bps {
-            if !self.covered[self.block_index(block_row, bc)] || self.block_has_stuck(block_row, bc)
-            {
-                continue;
-            }
-            self.reencode_block(block_row, bc);
-        }
+        self.reencode_block_row(block_row, true);
         // Cost: the block row's m MEM rows are read and re-encoded once.
         self.stats.mem_cycles += self.geom.m() as u64;
         self.stats.transfer_cycles += self.geom.m() as u64;
@@ -3223,8 +2672,9 @@ enum FusedKind {
         colmask: Vec<u64>,
         /// Indices of the non-zero `colmask` words.
         widx: Vec<usize>,
-        /// Touched block-columns, ascending.
-        blkcols: Vec<usize>,
+        /// Field-row words the sequence's changes update
+        /// ([`mask_window`] of `colmask`).
+        win: Range<usize>,
     },
     Cols {
         plan: FusedColsPlan,
@@ -3245,67 +2695,151 @@ impl FusedProgram {
     }
 }
 
+/// The ECC half of a compiled row-parallel program, shared by every worker
+/// of a replay: the sequence's touched-column mask and its non-zero word
+/// indices, the field-row window those words update, and the rotation
+/// masks.
+struct FusedRowsEcc<'a> {
+    colmask: &'a [u64],
+    widx: &'a [usize],
+    win: Range<usize>,
+    m: usize,
+    stride: usize,
+    tables: &'a DiagTables,
+}
+
 /// One worker's share of a fused row-parallel replay: snapshot the touched
 /// words of the chunk's rows, run the compiled sequence on the chunk's raw
-/// plane slices, then accumulate the net ECC deltas into `acc` — one
-/// `(leading, pre-reversal counter)` pair per (block-row, block-column) of
-/// the chunk. The counter family needs `rotl(rev(seg), (lr + 1) mod m)` per
-/// row; since bit-reversal is GF(2)-linear this equals
-/// `rev(rotl(seg, m - 1 - lr))`, so workers accumulate the cheap rotation
-/// and the caller reverses each accumulator once at flush time. Chunks are
-/// split at block-row boundaries, so the `acc` slices of distinct workers
-/// never alias and the flushed CMEM state is independent of the split.
+/// plane slices, then XOR each row's net change into the field rows of its
+/// block row ([`xor_row_fields`]). `lead`/`counter` are the CMEM field rows
+/// of exactly the chunk's block rows; chunks are split at block-row
+/// boundaries, so distinct workers never share a field row.
 #[allow(clippy::too_many_arguments)]
 fn fused_rows_chunk(
     plan: &FusedRowsPlan,
+    ecc: &FusedRowsEcc<'_>,
     bits: &mut [u64],
     armed: &mut [u64],
     old: &mut [u64],
-    acc: &mut [(u64, u64)],
-    rows: std::ops::Range<usize>,
-    colmask: &[u64],
-    widx: &[usize],
-    blkcols: &[usize],
-    m: usize,
-    stride: usize,
+    lead: &mut [u64],
+    counter: &mut [u64],
+    rows: Range<usize>,
 ) {
+    let FusedRowsEcc {
+        colmask,
+        widx,
+        m,
+        stride,
+        ..
+    } = *ecc;
     let per_row = widx.len();
     for li in 0..rows.len() {
         let row = &bits[li * stride..(li + 1) * stride];
-        let ob = li * per_row;
         for (k, &wi) in widx.iter().enumerate() {
-            old[ob + k] = row[wi];
+            old[li * per_row + k] = row[wi];
         }
     }
     plan.run_on_rows(bits, armed);
-    let mmask = (1u64 << m) - 1;
-    let nbcs = blkcols.len();
-    let chunk_first_br = rows.start / m;
+    let first_br = rows.start / m;
     let mut chg = [0u64; MAX_FUSED_STRIDE];
-    for r in rows.clone() {
-        let li = r - rows.start;
+    for (li, r) in rows.enumerate() {
         let row = &bits[li * stride..(li + 1) * stride];
-        let ob = li * per_row;
         for (k, &wi) in widx.iter().enumerate() {
-            chg[wi] = (row[wi] ^ old[ob + k]) & colmask[wi];
+            chg[wi] = (row[wi] ^ old[li * per_row + k]) & colmask[wi];
         }
-        let (br, lr) = (r / m, r % m);
-        let abase = (br - chunk_first_br) * nbcs;
-        let rot_q = m - 1 - lr;
-        for (j, &bc) in blkcols.iter().enumerate() {
-            let start = bc * m;
-            let (w0, sh) = (start / 64, start % 64);
-            let mut seg = chg[w0] >> sh;
-            if sh + m > 64 && w0 + 1 < stride {
-                seg |= chg[w0 + 1] << (64 - sh);
-            }
-            seg &= mmask;
-            if seg != 0 {
-                let a = &mut acc[abase + j];
-                a.0 ^= rotl_m(seg, lr, m, mmask);
-                a.1 ^= rotl_m(seg, rot_q, m, mmask);
-            }
-        }
+        let span = (r / m - first_br) * stride..(r / m - first_br + 1) * stride;
+        xor_row_fields(
+            &mut lead[span.clone()],
+            &mut counter[span],
+            &chg[..stride],
+            r % m,
+            m,
+            ecc.tables,
+            ecc.win.clone(),
+        );
+    }
+}
+
+/// The word path's ECC kernel: XORs the parity contribution of one MEM
+/// row's words `src` (local row `lr`) into the field rows of its block
+/// row, for every block column at once. Fed a written row's change words
+/// (old ⊕ new, zero outside the written covered columns) it is the
+/// continuous update; fed a block row's data rows it recomputes the
+/// block row's check-bits. Every m-bit field of `src` is rotated left by
+/// `lr` into `lead` and by `m − 1 − lr` into `counter` — the per-row terms
+/// of [`DiagonalCode::encode_words`] in the CMEM's rotation order (see
+/// [`CheckMemory`]) — in `O(words)` operations. Only words `win` are
+/// visited: it must cover the fields of every set bit of `src` (see
+/// [`field_window`]). Requires `m <= 63`.
+#[inline]
+fn xor_row_fields(
+    lead: &mut [u64],
+    counter: &mut [u64],
+    src: &[u64],
+    lr: usize,
+    m: usize,
+    tables: &DiagTables,
+    win: Range<usize>,
+) {
+    let stride = lead.len();
+    let masks = |rot: usize| {
+        let span = rot * stride..(rot + 1) * stride;
+        (&tables.rot_hi[span.clone()], &tables.rot_lo[span])
+    };
+    let (rl, rc) = (lr, m - 1 - lr);
+    let ((hi_l, lo_l), (hi_c, lo_c)) = (masks(rl), masks(rc));
+    let mut prev = if win.start > 0 { src[win.start - 1] } else { 0 };
+    for w in win {
+        let cur = src[w];
+        let next = if w + 1 < stride { src[w + 1] } else { 0 };
+        let (stay, wrap) = rot_parts(prev, cur, next, rl, m);
+        lead[w] ^= (stay & hi_l[w]) | (wrap & lo_l[w]);
+        let (stay, wrap) = rot_parts(prev, cur, next, rc, m);
+        counter[w] ^= (stay & hi_c[w]) | (wrap & lo_c[w]);
+        prev = cur;
+    }
+}
+
+/// The two halves of word `cur` of a row with every m-bit field rotated
+/// left by `rot < m`, given its neighbour words: the whole-row shift left
+/// by `rot` (the bits that stay inside their field, kept by the
+/// rotation's `rot_hi` mask) and the whole-row shift right by `m − rot`
+/// (the bits that wrap around, kept by `rot_lo`).
+#[inline(always)]
+fn rot_parts(prev: u64, cur: u64, next: u64, rot: usize, m: usize) -> (u64, u64) {
+    // `(prev >> 1) >> (63 - rot)` is `prev >> (64 - rot)`, defined at 0.
+    (
+        cur << rot | (prev >> 1) >> (63 - rot),
+        cur >> (m - rot) | next << (64 - m + rot),
+    )
+}
+
+/// The field-row words holding the fields of columns `first ..= last`:
+/// the window [`xor_row_fields`] must visit for changes confined to those
+/// columns.
+fn field_window(first: usize, last: usize, m: usize) -> Range<usize> {
+    first / m * m / 64..(last / m * m + m - 1) / 64 + 1
+}
+
+/// [`field_window`] of the set bits of `words` (empty when none is set).
+fn mask_window(words: &[u64], m: usize) -> Range<usize> {
+    let Some(w0) = words.iter().position(|&w| w != 0) else {
+        return 0..0;
+    };
+    let w1 = words.iter().rposition(|&w| w != 0).unwrap_or(w0);
+    field_window(
+        w0 * 64 + words[w0].trailing_zeros() as usize,
+        w1 * 64 + 63 - words[w1].leading_zeros() as usize,
+        m,
+    )
+}
+
+/// Adds one block's check outcome to a report's correction counts.
+fn tally(report: &mut CheckReport, loc: ErrorLocation) {
+    match loc {
+        ErrorLocation::None => {}
+        ErrorLocation::Uncorrectable => report.uncorrectable += 1,
+        _ => report.corrected += 1,
     }
 }
 
@@ -3319,64 +2853,14 @@ fn rotl_m(w: u64, s: usize, m: usize, mask: u64) -> u64 {
     }
 }
 
-/// Reverses the low `m` bits.
-#[inline]
-fn rev_m(w: u64, m: usize) -> u64 {
-    w.reverse_bits() >> (64 - m)
-}
-
-/// XORs the check-bit deltas of one *row's* changed cells into the CMEM:
-/// `changed_at(wi)` yields the masked change word (packed by global column)
-/// at word index `wi`, and every touched block gets one rotated XOR per
-/// family — row `r`'s cells map to leading diagonals by a rotation of `lr`
-/// and to counter diagonals by a reversal plus rotation, exactly the
-/// per-row contribution of [`DiagonalCode::encode_words`]. Requires
-/// `m <= 63`.
-#[inline]
-fn xor_row_major_changes(
-    cmem: &mut CheckMemory,
-    r: usize,
-    blkcols: &[usize],
-    m: usize,
-    stride: usize,
-    mut changed_at: impl FnMut(usize) -> u64,
-) {
-    let mmask = (1u64 << m) - 1;
-    let (lr, br) = (r % m, r / m);
-    let rot_counter = (lr + 1) % m;
-    let mut w0 = usize::MAX;
-    let mut cur = 0u64;
-    let mut next = 0u64;
-    for &bc in blkcols {
-        let start = bc * m;
-        let (w, sh) = (start / 64, start % 64);
-        if w != w0 {
-            w0 = w;
-            cur = changed_at(w);
-            next = if w + 1 < stride { changed_at(w + 1) } else { 0 };
-        }
-        if cur == 0 && (sh + m <= 64 || next == 0) {
-            continue;
-        }
-        let mut seg = cur >> sh;
-        if sh + m > 64 {
-            seg |= next << (64 - sh);
-        }
-        seg &= mmask;
-        if seg == 0 {
-            continue;
-        }
-        let lead = rotl_m(seg, lr, m, mmask);
-        let counter = rotl_m(rev_m(seg, m), rot_counter, m, mmask);
-        cmem.xor_block_words(br, bc, lead, counter);
-    }
-}
-
-/// Transpose of [`xor_row_major_changes`]: the changed cells of one
-/// *column*, packed one bit per row in `changed_at`. Each block-row's
-/// segment maps to leading diagonals by a rotation of the column's local
-/// index and to counter diagonals by the opposite rotation (no reversal —
-/// the segment is already indexed by local row). Requires `m <= 63`.
+/// XORs the check-bit deltas of the changed cells of one *column* into the
+/// CMEM: `changed_at(wi)` yields the masked change word (packed one bit per
+/// row) at word index `wi`. Each block row's segment is indexed by local
+/// row; its cells lie on leading diagonals rotated by the column's local
+/// index `lc`, and in the counter's rotation order (bit `m − 1 − d` for
+/// diagonal `d`) on the *reversed* segment rotated by `lc`. The reversed
+/// segments are cut from bit-reversed change words, one reversal per word
+/// rather than per block. Requires `m <= 63`.
 ///
 /// The sweep walks the change words and skips all-zero ones outright, so
 /// sparse updates cost O(words), not O(blocks).
@@ -3391,11 +2875,8 @@ fn xor_col_major_changes(
 ) {
     let mmask = (1u64 << m) - 1;
     let (lc, bc) = (col % m, col / m);
-    let rot_lead = lc;
-    let rot_counter = (m - lc) % m;
     let mut w0 = usize::MAX;
-    let mut cur = 0u64;
-    let mut next = 0u64;
+    let (mut cur, mut next, mut rcur, mut rnext) = (0u64, 0u64, 0u64, 0u64);
     for br in 0..bps {
         let start = br * m;
         let (w, sh) = (start / 64, start % 64);
@@ -3403,21 +2884,27 @@ fn xor_col_major_changes(
             w0 = w;
             cur = changed_at(w);
             next = if w + 1 < stride { changed_at(w + 1) } else { 0 };
+            (rcur, rnext) = (cur.reverse_bits(), next.reverse_bits());
         }
         if cur == 0 && (sh + m <= 64 || next == 0) {
             continue;
         }
-        let mut seg = cur >> sh;
-        if sh + m > 64 {
-            seg |= next << (64 - sh);
-        }
-        seg &= mmask;
+        // `seg` bit i is local row i; `rseg` bit i is local row m − 1 − i.
+        let (seg, rseg) = if sh + m > 64 {
+            let spill = sh + m - 64;
+            (
+                cur >> sh | next << (64 - sh),
+                rnext >> (64 - spill) | rcur << spill,
+            )
+        } else {
+            (cur >> sh, rcur >> (64 - sh - m))
+        };
+        let (seg, rseg) = (seg & mmask, rseg & mmask);
         if seg == 0 {
             continue;
         }
-        let lead = rotl_m(seg, rot_lead, m, mmask);
-        let counter = rotl_m(seg, rot_counter, m, mmask);
-        cmem.xor_block_words(br, bc, lead, counter);
+        let lead = rotl_m(seg, lc, m, mmask);
+        cmem.xor_fields(br, bc, lead, rotl_m(rseg, lc, m, mmask));
     }
 }
 
@@ -3873,6 +3360,48 @@ mod tests {
             MachineStats::default(),
             "empty write is free"
         );
+    }
+
+    /// Planes for a 30×30/3 batched load (one word per line) holding
+    /// loads for lines 4 and 7.
+    fn two_line_planes() -> (Vec<u64>, Vec<u64>) {
+        let mut masks = vec![0u64; 30];
+        let mut vals = vec![0u64; 30];
+        (masks[4], vals[4]) = (0b10_0001, 0b10_0001);
+        (masks[7], vals[7]) = (0b110, 0b010);
+        (masks, vals)
+    }
+
+    #[test]
+    fn batched_row_writer_drives_only_listed_rows() {
+        let mut pm = machine(30, 3);
+        let (mut masks, mut vals) = two_line_planes();
+        let before = *pm.stats();
+        pm.write_rows_words_batched(&[7], &mut masks, &mut vals)
+            .unwrap();
+        let delta = *pm.stats() - before;
+        assert!(pm.bit(7, 1) && !pm.bit(7, 2));
+        assert!(!pm.bit(4, 0) && !pm.bit(4, 5), "unlisted row 4 written");
+        assert_eq!((masks[4], vals[4]), (0b10_0001, 0b10_0001));
+        assert_eq!((masks[7], vals[7]), (0, 0));
+        assert_eq!((delta.critical_ops, delta.mem_cycles), (1, 3));
+        assert!(pm.verify_consistency().is_ok());
+    }
+
+    #[test]
+    fn batched_column_writer_drives_only_listed_columns() {
+        let mut pm = machine(30, 3);
+        let (mut masks, mut vals) = two_line_planes();
+        let before = *pm.stats();
+        pm.write_cols_words_batched(&[7], &mut masks, &mut vals)
+            .unwrap();
+        let delta = *pm.stats() - before;
+        assert!(pm.bit(1, 7) && !pm.bit(2, 7));
+        assert!(!pm.bit(0, 4) && !pm.bit(5, 4), "unlisted column 4 written");
+        assert_eq!((masks[4], vals[4]), (0b10_0001, 0b10_0001));
+        assert_eq!((masks[7], vals[7]), (0, 0));
+        assert_eq!((delta.critical_ops, delta.mem_cycles), (1, 3));
+        assert!(pm.verify_consistency().is_ok());
     }
 
     #[test]

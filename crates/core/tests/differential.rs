@@ -2,7 +2,12 @@
 //! bit-identical to the retained scalar reference: same cell states, same
 //! check-bits, same [`MachineStats`], same [`CheckReport`]s — across both
 //! axes, geometries whose `n` is *not* a multiple of 64 (the slack-bit
-//! edge), and mixed op sequences ending in `verify_consistency`.
+//! edge), and mixed op sequences ending in `verify_consistency`. On a fully
+//! covered machine the word engine also takes its fused paths (batched
+//! word-plane loads, compiled column replays), which the reference runs one
+//! line or one step at a time.
+//!
+//! The case count defaults to 24; `PIMECC_DIFF_CASES` raises it (CI does).
 
 use pimecc_core::shifter::Family;
 use pimecc_core::{BlockGeometry, CheckReport, MachineStats, ProtectedMemory, SimEngine};
@@ -88,12 +93,40 @@ enum Op {
         bl: usize,
     },
     Scrub,
+    /// A batched row load: each listed line with its `(column, value)`
+    /// cells (lines are made distinct when applied; cell lists may be
+    /// empty).
+    LoadRows {
+        lines: Vec<(usize, Vec<(usize, bool)>)>,
+    },
+    /// The column transpose of [`Op::LoadRows`].
+    LoadCols {
+        lines: Vec<(usize, Vec<(usize, bool)>)>,
+    },
+    /// A self-arming gate sequence over rows, replayed column-parallel
+    /// across the columns `a..=b` (in either order).
+    FusedCols {
+        gates: Vec<(usize, usize, usize)>,
+        a: usize,
+        b: usize,
+    },
+    CheckAllCols,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     let idx = || 0usize..10_000;
     let idxs = || proptest::collection::vec(0usize..10_000, 1..4);
     let cells = || proptest::collection::vec((0usize..10_000, any::<bool>()), 1..6);
+    let load = || {
+        proptest::collection::vec(
+            (
+                0usize..10_000,
+                proptest::collection::vec((0usize..10_000, any::<bool>()), 0..6),
+            ),
+            1..5,
+        )
+    };
+    let gates = || proptest::collection::vec((idx(), idx(), idx()), 1..6);
     prop_oneof![
         (idxs(), 0u8..3, idx(), idx()).prop_map(|(cols, sel, a, b)| Op::InitRows {
             cols,
@@ -133,7 +166,94 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         idx().prop_map(|bl| Op::CheckRow { bl }),
         idx().prop_map(|bl| Op::CheckCol { bl }),
         Just(Op::Scrub),
+        load().prop_map(|lines| Op::LoadRows { lines }),
+        load().prop_map(|lines| Op::LoadCols { lines }),
+        (gates(), idx(), idx()).prop_map(|(gates, a, b)| Op::FusedCols { gates, a, b }),
+        Just(Op::CheckAllCols),
     ]
+}
+
+/// A self-arming step sequence: every gate's output is initialized first,
+/// and its inputs are moved off the output line.
+fn self_arming(gates: &[(usize, usize, usize)], n: usize) -> Vec<ParallelStep> {
+    let mut steps = Vec::new();
+    for &(a, b, out) in gates {
+        let out = out % n;
+        let fix = |c: usize| if c % n == out { (c + 1) % n } else { c % n };
+        steps.push(ParallelStep::Init(vec![out]));
+        steps.push(ParallelStep::Nor(vec![fix(a), fix(b)], out));
+    }
+    steps
+}
+
+/// Applies a batched load along rows (`rows`) or columns: through the
+/// word-plane writer when the machine is on the fused word path, else as
+/// one `write_row_cells`/`write_col_cells` per listed line — the form the
+/// scalar reference always takes.
+fn load_lines(pm: &mut ProtectedMemory, rows: bool, lines: &[(usize, Vec<(usize, bool)>)]) {
+    let n = pm.geometry().n();
+    let mut loads: Vec<(usize, Vec<(usize, bool)>)> = Vec::new();
+    for (line, cells) in lines {
+        if loads.iter().all(|(l, _)| *l != line % n) {
+            loads.push((line % n, cells.iter().map(|&(x, v)| (x % n, v)).collect()));
+        }
+    }
+    if !pm.supports_fused_rows() {
+        for (line, cells) in &loads {
+            if rows {
+                pm.write_row_cells(*line, cells).unwrap();
+            } else {
+                pm.write_col_cells(*line, cells).unwrap();
+            }
+        }
+        return;
+    }
+    // Both plane layouts put word `w` of line `l` at `l * stride + w`.
+    let stride = n.div_ceil(64);
+    let mut masks = vec![0u64; n * stride];
+    let mut vals = vec![0u64; n * stride];
+    for (line, cells) in &loads {
+        for &(x, v) in cells {
+            let (w, bit) = (line * stride + x / 64, 1u64 << (x % 64));
+            masks[w] |= bit;
+            if v {
+                vals[w] |= bit;
+            } else {
+                vals[w] &= !bit;
+            }
+        }
+    }
+    let list: Vec<usize> = loads.iter().map(|&(l, _)| l).collect();
+    if rows {
+        pm.write_rows_words_batched(&list, &mut masks, &mut vals)
+            .unwrap();
+    } else {
+        pm.write_cols_words_batched(&list, &mut masks, &mut vals)
+            .unwrap();
+    }
+    assert!(
+        masks.iter().chain(&vals).all(|&w| w == 0),
+        "planes restored to zero"
+    );
+}
+
+/// Asserts that two machines hold the same value in every check-bit.
+fn assert_same_check_bits(a: &ProtectedMemory, b: &ProtectedMemory) {
+    let geom = a.geometry();
+    let bps = geom.blocks_per_side();
+    for family in [Family::Leading, Family::Counter] {
+        for br in 0..bps {
+            for bc in 0..bps {
+                for d in 0..geom.m() {
+                    assert_eq!(
+                        a.cmem().bit(family, d, br, bc),
+                        b.cmem().bit(family, d, br, bc),
+                        "{family:?} d={d} block ({br},{bc})"
+                    );
+                }
+            }
+        }
+    }
 }
 
 fn line_set(sel: u8, a: usize, b: usize, n: usize) -> LineSet {
@@ -231,22 +351,54 @@ fn apply(pm: &mut ProtectedMemory, op: &Op) -> (CheckReport, bool) {
         Op::CheckRow { bl } => report += pm.check_block_row(bl % bps).unwrap(),
         Op::CheckCol { bl } => report += pm.check_block_col(bl % bps).unwrap(),
         Op::Scrub => pm.scrub(),
+        Op::LoadRows { lines } => load_lines(pm, true, lines),
+        Op::LoadCols { lines } => load_lines(pm, false, lines),
+        Op::FusedCols { gates, a, b } => {
+            let steps = self_arming(gates, n);
+            let (lo, hi) = ((a % n).min(b % n), (a % n).max(b % n) + 1);
+            match pm.compile_fused_cols(&steps) {
+                Some(prog) => pm.exec_fused_cols(&prog, lo..hi),
+                None => {
+                    let cols = LineSet::Range(lo..hi);
+                    for step in &steps {
+                        match step {
+                            ParallelStep::Init(cells) => pm.exec_init_cols(cells, &cols).unwrap(),
+                            ParallelStep::Nor(ins, out) => {
+                                pm.exec_nor_cols(ins, *out, &cols).unwrap()
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Op::CheckAllCols => report += pm.check_all_cols().unwrap(),
     }
     (report, pm.verify_consistency().is_ok())
 }
 
+/// How many random cases each differential proptest runs; CI raises it
+/// via `PIMECC_DIFF_CASES` (see `.github/workflows`).
+fn diff_cases() -> u32 {
+    std::env::var("PIMECC_DIFF_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(diff_cases()))]
 
     // The tentpole invariant: arbitrary legal op sequences leave both
-    // engines with identical data, identical check-bits (probed through
-    // full checks), identical statistics and identical reports.
+    // engines with identical data, identical check-bits, identical
+    // statistics and identical reports — with one uncovered scratch block,
+    // or fully covered so that the word engine takes its fused paths.
     #[test]
     fn engines_are_bit_identical_under_mixed_ops(
         geom_idx in 0usize..GEOMETRIES.len(),
         seed in any::<u64>(),
         ops in proptest::collection::vec(op_strategy(), 1..16),
         paranoid in (0u8..5).prop_map(|x| x == 0),
+        fully_covered in any::<bool>(),
     ) {
         let (n, m) = GEOMETRIES[geom_idx];
         let grid = random_grid(n, seed);
@@ -256,9 +408,11 @@ proptest! {
         scalar.set_check_on_critical(paranoid);
         word.load_grid(&grid);
         scalar.load_grid(&grid);
-        // One uncovered scratch block exercises the coverage masks.
-        word.set_block_covered(0, 0, false).unwrap();
-        scalar.set_block_covered(0, 0, false).unwrap();
+        if !fully_covered {
+            // One uncovered scratch block exercises the coverage masks.
+            word.set_block_covered(0, 0, false).unwrap();
+            scalar.set_block_covered(0, 0, false).unwrap();
+        }
         for (i, op) in ops.iter().enumerate() {
             let (wr, wc) = apply(&mut word, op);
             let (sr, sc) = apply(&mut scalar, op);
@@ -267,10 +421,12 @@ proptest! {
         }
         prop_assert_eq!(word.mem().grid().diff(scalar.mem().grid()), vec![]);
         prop_assert_eq!(word.stats(), scalar.stats());
+        assert_same_check_bits(&word, &scalar);
         let wfinal = word.check_all().unwrap();
         let sfinal = scalar.check_all().unwrap();
         prop_assert_eq!(wfinal, sfinal);
         prop_assert_eq!(word.verify_consistency(), scalar.verify_consistency());
+        assert_same_check_bits(&word, &scalar);
     }
 
     // The fused whole-sequence executor must match the per-step replay of
@@ -285,14 +441,7 @@ proptest! {
     ) {
         let (n, m) = GEOMETRIES[geom_idx];
         let grid = random_grid(n, seed);
-        // A self-arming sequence: every gate's output initialized first.
-        let mut steps = Vec::new();
-        for &(a, b, out) in &gates {
-            let out = out % n;
-            let fix = |c: usize| if c % n == out { (c + 1) % n } else { c % n };
-            steps.push(ParallelStep::Init(vec![out]));
-            steps.push(ParallelStep::Nor(vec![fix(a), fix(b)], out));
-        }
+        let steps = self_arming(&gates, n);
         let start = start % n;
         let rows = LineSet::Range(start..(start + len % n).min(n).max(start + 1));
 
@@ -331,13 +480,7 @@ proptest! {
     ) {
         let (n, m) = GEOMETRIES[geom_idx];
         let grid = random_grid(n, seed);
-        let mut steps = Vec::new();
-        for &(a, b, out) in &gates {
-            let out = out % n;
-            let fix = |c: usize| if c % n == out { (c + 1) % n } else { c % n };
-            steps.push(ParallelStep::Init(vec![out]));
-            steps.push(ParallelStep::Nor(vec![fix(a), fix(b)], out));
-        }
+        let steps = self_arming(&gates, n);
         let start = start % n;
         let range = start..(start + len % n).min(n).max(start + 1);
 
