@@ -249,6 +249,24 @@ pub struct StuckCell {
 /// See the crate-level example. All `exec_*` methods mirror the raw
 /// [`Crossbar`] API; criticality (whether the ECC must be updated) is
 /// decided automatically from the coverage map of the written cells.
+///
+/// # Verified blocks
+///
+/// The machine keeps one *verified* bit per block. Invariant: a verified
+/// block's data encodes to its stored check-bits, and it holds no stuck
+/// cell. Every block starts verified (zeroed memory is consistent). A
+/// computed check that leaves a block clean or corrected, and free of
+/// stuck cells, sets its bit. The three calls that put data and check-bits
+/// out of step clear it: [`ProtectedMemory::inject_fault`],
+/// [`ProtectedMemory::inject_check_fault`] and
+/// [`ProtectedMemory::set_stuck`]; [`ProtectedMemory::reset_block`],
+/// [`ProtectedMemory::set_block_covered`] and
+/// [`ProtectedMemory::load_grid`] clear it conservatively. Every
+/// ECC-maintaining write keeps a consistent block consistent, so the word
+/// engine answers a check of a verified block clean without recomputing
+/// its diagonals. The check is still billed, counted and reported as one;
+/// the [`SimEngine::ScalarReference`] engine and
+/// [`ProtectedMemory::verify_consistency`] never read the map.
 #[derive(Clone)]
 pub struct ProtectedMemory {
     geom: BlockGeometry,
@@ -257,6 +275,12 @@ pub struct ProtectedMemory {
     cmem: CheckMemory,
     /// Coverage per block, indexed `[block_row * bps + block_col]`.
     covered: Vec<bool>,
+    /// The verified-block map (see the type docs): bit
+    /// `block_row * bps + block_col` of the packed words.
+    verified: Vec<u64>,
+    /// Blocks the running check left uncorrectable, in check order (see
+    /// [`ProtectedMemory::uncorrectable_blocks`]).
+    uncorrectable: Vec<(usize, usize)>,
     /// The stuck-at fault plane, sorted by `(row, col)`. Driven operations
     /// run against the *intended* values (the ECC maintenance diffs and the
     /// gate dynamics both see what the controller drives); the plane then
@@ -334,6 +358,8 @@ impl ProtectedMemory {
             mem: Crossbar::new(geom.n(), geom.n()),
             cmem: CheckMemory::new(geom),
             covered: vec![true; geom.block_count()],
+            verified: vec![u64::MAX; geom.block_count().div_ceil(64)],
+            uncorrectable: Vec::new(),
             stuck: Vec::new(),
             stuck_clamped: true,
             check_on_critical: false,
@@ -431,10 +457,9 @@ impl ProtectedMemory {
             .collect();
         blocks.sort_unstable();
         blocks.dedup();
+        self.uncorrectable.clear();
         for (br, bc) in blocks {
-            if self.covered[self.block_index(br, bc)] {
-                self.check_block(br, bc)?;
-            }
+            self.check_block_at(br, bc)?;
         }
         Ok(())
     }
@@ -446,13 +471,11 @@ impl ProtectedMemory {
     /// product, visited in the same `(block_row, block_col)` order as the
     /// scalar reference.
     fn precheck_rect(&mut self) -> Result<()> {
+        self.uncorrectable.clear();
         for i in 0..self.blkrow_buf.len() {
             let br = self.blkrow_buf[i];
             for j in 0..self.blkcol_buf.len() {
-                let bc = self.blkcol_buf[j];
-                if self.covered[self.block_index(br, bc)] {
-                    self.check_block(br, bc)?;
-                }
+                self.check_block_at(br, self.blkcol_buf[j])?;
             }
         }
         Ok(())
@@ -517,6 +540,20 @@ impl ProtectedMemory {
         block_row * self.geom.blocks_per_side() + block_col
     }
 
+    /// [`CoreError::OutOfBounds`] unless `(block_row, block_col)` names a
+    /// block.
+    fn block_in_bounds(&self, block_row: usize, block_col: usize) -> Result<()> {
+        let bps = self.geom.blocks_per_side();
+        if block_row >= bps || block_col >= bps {
+            return Err(CoreError::OutOfBounds {
+                row: block_row * self.geom.m(),
+                col: block_col * self.geom.m(),
+                n: self.geom.n(),
+            });
+        }
+        Ok(())
+    }
+
     /// Marks a block as ECC-covered or as uncovered scratch. Newly covering
     /// a block re-encodes its check-bits so the invariant holds.
     ///
@@ -529,15 +566,9 @@ impl ProtectedMemory {
         block_col: usize,
         covered: bool,
     ) -> Result<()> {
-        let bps = self.geom.blocks_per_side();
-        if block_row >= bps || block_col >= bps {
-            return Err(CoreError::OutOfBounds {
-                row: block_row * self.geom.m(),
-                col: block_col * self.geom.m(),
-                n: self.geom.n(),
-            });
-        }
+        self.block_in_bounds(block_row, block_col)?;
         let idx = self.block_index(block_row, block_col);
+        self.unverify(block_row, block_col);
         if covered && !self.covered[idx] {
             // Re-encode on coverage entry (a write-with-ECC sweep).
             self.reencode_block(block_row, block_col);
@@ -610,6 +641,7 @@ impl ProtectedMemory {
     ///
     /// Panics if `data` is not n×n.
     pub fn load_grid(&mut self, data: &BitGrid) {
+        self.verified.fill(0);
         self.unclamp_stuck();
         self.load_grid_driven(data);
         self.clamp_stuck();
@@ -2020,14 +2052,8 @@ impl ProtectedMemory {
     }
 
     fn reset_block_driven(&mut self, block_row: usize, block_col: usize) -> Result<()> {
-        let bps = self.geom.blocks_per_side();
-        if block_row >= bps || block_col >= bps {
-            return Err(CoreError::OutOfBounds {
-                row: block_row * self.geom.m(),
-                col: block_col * self.geom.m(),
-                n: self.geom.n(),
-            });
-        }
+        self.block_in_bounds(block_row, block_col)?;
+        self.unverify(block_row, block_col);
         let m = self.geom.m();
         let cols: Vec<usize> = (block_col * m..(block_col + 1) * m).collect();
         // m parallel row-inits sweep the block (one per row of the block).
@@ -2053,6 +2079,8 @@ impl ProtectedMemory {
         if self.is_stuck(r, c) {
             return;
         }
+        let (br, bc) = self.geom.block_of(r, c);
+        self.unverify(br, bc);
         self.mem.flip_bit(r, c);
     }
 
@@ -2072,6 +2100,8 @@ impl ProtectedMemory {
     pub fn set_stuck(&mut self, r: usize, c: usize, value: bool) {
         let n = self.geom.n();
         assert!(r < n && c < n, "stuck cell ({r},{c}) outside {n}x{n}");
+        let (br, bc) = self.geom.block_of(r, c);
+        self.unverify(br, bc);
         match self.stuck.binary_search_by_key(&(r, c), |s| (s.row, s.col)) {
             Ok(i) => self.stuck[i].value = value,
             Err(i) => {
@@ -2174,6 +2204,7 @@ impl ProtectedMemory {
         block_col: usize,
     ) {
         self.cmem.inject_fault(family, d, block_row, block_col);
+        self.unverify(block_row, block_col);
     }
 
     /// Checks (and repairs) one covered block. Returns what was found.
@@ -2183,19 +2214,37 @@ impl ProtectedMemory {
     ///
     /// [`CoreError::OutOfBounds`] on bad block indices.
     pub fn check_block(&mut self, block_row: usize, block_col: usize) -> Result<ErrorLocation> {
-        let bps = self.geom.blocks_per_side();
-        if block_row >= bps || block_col >= bps {
-            return Err(CoreError::OutOfBounds {
-                row: block_row * self.geom.m(),
-                col: block_col * self.geom.m(),
-                n: self.geom.n(),
-            });
-        }
+        self.uncorrectable.clear();
+        self.check_block_at(block_row, block_col)
+    }
+
+    /// The blocks the most recent check left uncorrectable, in check order:
+    /// one entry per uncorrectable verdict it billed. A check is one call
+    /// of [`ProtectedMemory::check_block`],
+    /// [`ProtectedMemory::check_block_row`],
+    /// [`ProtectedMemory::check_block_col`], [`ProtectedMemory::check_all`]
+    /// or [`ProtectedMemory::check_all_cols`], or one critical operation's
+    /// pre-write pass (see [`ProtectedMemory::set_check_on_critical`]). A
+    /// sweep's findings are localized from this list, without a second
+    /// check.
+    pub fn uncorrectable_blocks(&self) -> &[(usize, usize)] {
+        &self.uncorrectable
+    }
+
+    /// [`ProtectedMemory::check_block`] within the running check (the
+    /// [`ProtectedMemory::uncorrectable_blocks`] list is kept).
+    fn check_block_at(&mut self, block_row: usize, block_col: usize) -> Result<ErrorLocation> {
+        self.block_in_bounds(block_row, block_col)?;
+        Ok(self.check_one(block_row, block_col))
+    }
+
+    /// Checks one in-bounds block with the checker the engine selects.
+    fn check_one(&mut self, block_row: usize, block_col: usize) -> ErrorLocation {
         if !self.covered[self.block_index(block_row, block_col)] {
-            return Ok(ErrorLocation::None);
+            return ErrorLocation::None;
         }
         if self.word_blocks() {
-            return Ok(self.check_block_word(block_row, block_col));
+            return self.check_block_word(block_row, block_col);
         }
         let m = self.geom.m();
         let mut block = self.extract_block(block_row, block_col);
@@ -2209,7 +2258,7 @@ impl ProtectedMemory {
         self.stats.blocks_checked += 1;
         match loc {
             ErrorLocation::None => {}
-            ErrorLocation::Uncorrectable => self.stats.errors_uncorrectable += 1,
+            ErrorLocation::Uncorrectable => self.bill_uncorrectable(block_row, block_col),
             ErrorLocation::Data {
                 local_row,
                 local_col,
@@ -2221,7 +2270,7 @@ impl ProtectedMemory {
                     // The write-back pulse cannot switch a wedged cell —
                     // read-back disagrees, so the block is beyond this
                     // code's repair.
-                    self.stats.errors_uncorrectable += 1;
+                    self.bill_uncorrectable(block_row, block_col);
                     loc = ErrorLocation::Uncorrectable;
                 } else {
                     self.mem.write_bit(r, c, block.get(local_row, local_col));
@@ -2234,17 +2283,23 @@ impl ProtectedMemory {
                 self.stats.errors_corrected += 1;
             }
         }
-        Ok(loc)
+        loc
     }
 
-    /// Word-path [`ProtectedMemory::check_block`]: recomputes the block's
-    /// fields in rotation order and compares them with the stored ones
+    /// Word-path [`ProtectedMemory::check_block`]: a verified block answers
+    /// clean as it stands; any other block's fields are recomputed in
+    /// rotation order and compared with the stored ones
     /// ([`ProtectedMemory::resolve_block`]).
     fn check_block_word(&mut self, block_row: usize, block_col: usize) -> ErrorLocation {
+        self.stats.blocks_checked += 1;
+        if self.is_verified(block_row, block_col) {
+            return ErrorLocation::None;
+        }
         self.fill_block_rows(block_row, block_col);
         let (lead, q) = self.code.encode_fields(&self.blockrow_buf);
-        self.stats.blocks_checked += 1;
-        self.resolve_block(block_row, block_col, lead, q)
+        let loc = self.resolve_block(block_row, block_col, lead, q);
+        self.mark_checked(block_row, block_col, loc);
+        loc
     }
 
     /// Compares one block's freshly computed fields `(lead, q)` (rotation
@@ -2305,46 +2360,93 @@ impl ProtectedMemory {
             _ => ErrorLocation::Uncorrectable,
         };
         if loc == ErrorLocation::Uncorrectable {
-            self.stats.errors_uncorrectable += 1;
+            self.bill_uncorrectable(block_row, block_col);
         } else {
             self.stats.errors_corrected += 1;
         }
         loc
     }
 
+    /// Counts an uncorrectable verdict on one block and lists the block in
+    /// [`ProtectedMemory::uncorrectable_blocks`].
+    fn bill_uncorrectable(&mut self, block_row: usize, block_col: usize) {
+        self.stats.errors_uncorrectable += 1;
+        self.uncorrectable.push((block_row, block_col));
+    }
+
+    /// Whether block `(block_row, block_col)` is in the verified map.
+    fn is_verified(&self, block_row: usize, block_col: usize) -> bool {
+        let i = self.block_index(block_row, block_col);
+        self.verified[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    /// Drops one block from the verified map.
+    fn unverify(&mut self, block_row: usize, block_col: usize) {
+        let i = self.block_index(block_row, block_col);
+        self.verified[i / 64] &= !(1u64 << (i % 64));
+    }
+
+    /// Records a computed check of one block in the verified map: a block
+    /// the check left consistent (clean or corrected) is verified unless it
+    /// holds a stuck cell, whose clamping desynchronizes it again after
+    /// every write.
+    fn mark_checked(&mut self, block_row: usize, block_col: usize, loc: ErrorLocation) {
+        if loc != ErrorLocation::Uncorrectable && !self.block_has_stuck(block_row, block_col) {
+            let i = self.block_index(block_row, block_col);
+            self.verified[i / 64] |= 1u64 << (i % 64);
+        }
+    }
+
     /// Checks a whole row of blocks — the paper's pre-execution input check
     /// (§IV: the row is copied into the CMEM datapath in m MAGIC NOT
     /// cycles, reduced by XOR3 trees, and compared in the checking
-    /// crossbar).
+    /// crossbar). The word engine does not recompute blocks the verified
+    /// map vouches for (see [`ProtectedMemory`]); they are still billed and
+    /// reported as checked.
     ///
     /// # Errors
     ///
     /// [`CoreError::OutOfBounds`] on a bad block-row index.
     pub fn check_block_row(&mut self, block_row: usize) -> Result<CheckReport> {
-        let bps = self.geom.blocks_per_side();
-        if block_row >= bps {
-            return Err(CoreError::OutOfBounds {
-                row: block_row * self.geom.m(),
-                col: 0,
-                n: self.geom.n(),
-            });
+        self.uncorrectable.clear();
+        self.check_line(LineAxis::Row, block_row)
+    }
+
+    /// Transpose of [`ProtectedMemory::check_block_row`]: checks a whole
+    /// column of blocks, the pre-execution input check for
+    /// *column-parallel* functions (the paper's §IV "row (column)"
+    /// symmetry, enabled by the per-family barrel shifters). The word
+    /// engine skips verified blocks here too, billing them as checked.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::OutOfBounds`] on a bad block-column index.
+    pub fn check_block_col(&mut self, block_col: usize) -> Result<CheckReport> {
+        self.uncorrectable.clear();
+        self.check_line(LineAxis::Col, block_col)
+    }
+
+    /// The axis-generic body of [`ProtectedMemory::check_block_row`] /
+    /// [`ProtectedMemory::check_block_col`]: one billed block-line check,
+    /// swept whole on the fully covered word path and block by block
+    /// otherwise.
+    fn check_line(&mut self, axis: LineAxis, line: usize) -> Result<CheckReport> {
+        let (n, m, bps) = (self.geom.n(), self.geom.m(), self.geom.blocks_per_side());
+        if line >= bps {
+            let (row, col) = axis.cell(line * m, 0);
+            return Err(CoreError::OutOfBounds { row, col, n });
         }
         self.bill_block_line_check();
         if self.word_blocks() && self.fully_covered {
-            return Ok(self.check_block_row_sweep(block_row));
+            return Ok(match axis {
+                LineAxis::Row => self.check_block_row_sweep(line),
+                LineAxis::Col => self.check_block_col_sweep(line),
+            });
         }
         let mut report = CheckReport::default();
-        let word = self.word_blocks();
-        for bc in 0..bps {
-            // Bounds are loop invariants here; dispatch straight to the
-            // checker the engine selects.
-            let loc = if !self.covered[self.block_index(block_row, bc)] {
-                ErrorLocation::None
-            } else if word {
-                self.check_block_word(block_row, bc)
-            } else {
-                self.check_block(block_row, bc)?
-            };
+        for cross in 0..bps {
+            let (br, bc) = axis.cell(line, cross);
+            let loc = self.check_one(br, bc);
             report.checked += 1;
             tally(&mut report, loc);
         }
@@ -2377,21 +2479,27 @@ impl ProtectedMemory {
         }
     }
 
-    /// Fully-covered word-path check of one block row: recomputes every
-    /// block's fields at once ([`ProtectedMemory::sweep_block_row`]),
-    /// compares them with the CMEM's field rows word by word, and descends
-    /// only into the blocks whose fields differ. Outcome, reports and
-    /// statistics are identical to checking block by block — the per-cell
-    /// parity contributions are the same XORs, corrections are
-    /// block-local, and mismatching blocks are resolved in ascending order.
+    /// Fully-covered word-path check of one block row. A fully verified
+    /// row answers clean without reading it. Otherwise every block's fields
+    /// are recomputed at once ([`ProtectedMemory::sweep_block_row`]),
+    /// compared with the CMEM's field rows word by word, and only the
+    /// blocks whose fields differ are resolved; the row is then re-marked
+    /// in the verified map. Outcome, reports and statistics are identical
+    /// to checking block by block — the per-cell parity contributions are
+    /// the same XORs, corrections are block-local, and mismatching blocks
+    /// are resolved in ascending order.
     fn check_block_row_sweep(&mut self, block_row: usize) -> CheckReport {
         let (m, bps) = (self.geom.m(), self.geom.blocks_per_side());
-        self.sweep_block_row(block_row);
         let mut report = CheckReport {
             checked: bps,
             ..CheckReport::default()
         };
         self.stats.blocks_checked += bps as u64;
+        let blocks = block_row * bps..(block_row + 1) * bps;
+        if all_set(&self.verified, blocks.clone()) {
+            return report;
+        }
+        self.sweep_block_row(block_row);
         self.mismatch_buf.clear();
         let (lead, counter) = self.cmem.rows(block_row);
         for w in 0..lead.len() {
@@ -2404,6 +2512,9 @@ impl ProtectedMemory {
                 }
             }
         }
+        // The sweep leaves every block consistent except the uncorrectable
+        // ones and those holding a stuck cell.
+        set_word_range(&mut self.verified, blocks);
         for i in 0..self.mismatch_buf.len() {
             let bc = self.mismatch_buf[i];
             let (lead, q) = (
@@ -2411,52 +2522,24 @@ impl ProtectedMemory {
                 field(&self.acc_q, bc * m, m),
             );
             let loc = self.resolve_block(block_row, bc, lead, q);
+            if loc == ErrorLocation::Uncorrectable {
+                self.unverify(block_row, bc);
+            }
             tally(&mut report, loc);
+        }
+        for i in 0..self.stuck.len() {
+            let s = self.stuck[i];
+            if s.row / m == block_row {
+                self.unverify(block_row, s.col / m);
+            }
         }
         report
     }
 
-    /// Transpose of [`ProtectedMemory::check_block_row`]: checks a whole
-    /// column of blocks, the pre-execution input check for
-    /// *column-parallel* functions (the paper's §IV "row (column)"
-    /// symmetry, enabled by the per-family barrel shifters).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::OutOfBounds`] on a bad block-column index.
-    pub fn check_block_col(&mut self, block_col: usize) -> Result<CheckReport> {
-        let bps = self.geom.blocks_per_side();
-        if block_col >= bps {
-            return Err(CoreError::OutOfBounds {
-                row: 0,
-                col: block_col * self.geom.m(),
-                n: self.geom.n(),
-            });
-        }
-        self.bill_block_line_check();
-        if self.word_blocks() && self.fully_covered {
-            return Ok(self.check_block_col_sweep(block_col));
-        }
-        let mut report = CheckReport::default();
-        let word = self.word_blocks();
-        for br in 0..bps {
-            let loc = if !self.covered[self.block_index(br, block_col)] {
-                ErrorLocation::None
-            } else if word {
-                self.check_block_word(br, block_col)
-            } else {
-                self.check_block(br, block_col)?
-            };
-            report.checked += 1;
-            tally(&mut report, loc);
-        }
-        Ok(report)
-    }
-
     /// Column transpose of [`ProtectedMemory::check_block_row_sweep`]: the
     /// blocks of one block column share their field position, so each
-    /// block's fields come straight off its `m` row words in rotation
-    /// order and are compared without any bit reversal.
+    /// unverified block's fields come straight off its `m` row words in
+    /// rotation order and are compared without any bit reversal.
     fn check_block_col_sweep(&mut self, block_col: usize) -> CheckReport {
         let (m, bps) = (self.geom.m(), self.geom.blocks_per_side());
         let mmask = (1u64 << m) - 1;
@@ -2467,6 +2550,9 @@ impl ProtectedMemory {
         };
         self.stats.blocks_checked += bps as u64;
         for br in 0..bps {
+            if self.is_verified(br, block_col) {
+                continue;
+            }
             let (mut lead, mut q) = (0u64, 0u64);
             let grid = self.mem.grid();
             for lr in 0..m {
@@ -2474,10 +2560,9 @@ impl ProtectedMemory {
                 lead ^= rotl_m(seg, lr, m, mmask);
                 q ^= rotl_m(seg, m - 1 - lr, m, mmask);
             }
-            if (lead, q) != self.cmem.fields(br, block_col) {
-                let loc = self.resolve_block(br, block_col, lead, q);
-                tally(&mut report, loc);
-            }
+            let loc = self.resolve_block(br, block_col, lead, q);
+            tally(&mut report, loc);
+            self.mark_checked(br, block_col, loc);
         }
         report
     }
@@ -2505,9 +2590,10 @@ impl ProtectedMemory {
     ///
     /// Infallible in practice; mirrors [`ProtectedMemory::check_block_row`].
     pub fn check_all(&mut self) -> Result<CheckReport> {
+        self.uncorrectable.clear();
         let mut total = CheckReport::default();
         for br in 0..self.geom.blocks_per_side() {
-            total += self.check_block_row(br)?;
+            total += self.check_line(LineAxis::Row, br)?;
         }
         Ok(total)
     }
@@ -2524,18 +2610,15 @@ impl ProtectedMemory {
     ///
     /// Infallible in practice; mirrors [`ProtectedMemory::check_block_col`].
     pub fn check_all_cols(&mut self) -> Result<CheckReport> {
-        let bps = self.geom.blocks_per_side();
-        if self.word_blocks() && self.fully_covered {
-            let mut total = CheckReport::default();
-            for line in 0..bps {
-                self.bill_block_line_check();
-                total += self.check_block_row_sweep(line);
-            }
-            return Ok(total);
-        }
+        self.uncorrectable.clear();
+        let axis = if self.word_blocks() && self.fully_covered {
+            LineAxis::Row
+        } else {
+            LineAxis::Col
+        };
         let mut total = CheckReport::default();
-        for bc in 0..bps {
-            total += self.check_block_col(bc)?;
+        for line in 0..self.geom.blocks_per_side() {
+            total += self.check_line(axis, line)?;
         }
         Ok(total)
     }
@@ -2906,6 +2989,22 @@ fn xor_col_major_changes(
         let lead = rotl_m(seg, lc, m, mmask);
         cmem.xor_fields(br, bc, lead, rotl_m(rseg, lc, m, mmask));
     }
+}
+
+/// Whether every bit of `range` is set in a packed word slice.
+fn all_set(words: &[u64], range: Range<usize>) -> bool {
+    if range.is_empty() {
+        return true;
+    }
+    let (first, last) = (range.start / 64, (range.end - 1) / 64);
+    let lo = u64::MAX << (range.start % 64);
+    let hi = u64::MAX >> (63 - (range.end - 1) % 64);
+    if first == last {
+        return words[first] & lo & hi == lo & hi;
+    }
+    words[first] & lo == lo
+        && words[first + 1..last].iter().all(|&w| w == u64::MAX)
+        && words[last] & hi == hi
 }
 
 /// Sets bits `range` of a packed word slice.
@@ -3465,6 +3564,78 @@ mod tests {
         // the ECC is self-consistent again.
         assert_eq!(report.corrected, 1);
         assert!(pm.verify_consistency().is_ok());
+    }
+
+    #[test]
+    fn every_desync_call_invalidates_the_verified_map() {
+        // A fully checked memory has every block verified. Each of the
+        // three calls that put a block's data and check-bits out of step
+        // must drop the block from the map: every check form then finds
+        // the fault exactly as on a memory that was never checked.
+        type Fault = fn(&mut ProtectedMemory);
+        let faults: [(&str, Fault); 3] = [
+            ("data flip", |pm| pm.inject_fault(7, 12)),
+            ("check-bit flip", |pm| {
+                pm.inject_check_fault(Family::Counter, 3, 1, 2)
+            }),
+            ("stuck cell", |pm| {
+                let intended = pm.bit(6, 11);
+                pm.set_stuck(6, 11, !intended);
+            }),
+        ];
+        type Check = fn(&mut ProtectedMemory) -> String;
+        let checks: [(&str, Check); 5] = [
+            ("check_block", |pm| format!("{:?}", pm.check_block(1, 2))),
+            ("check_block_row", |pm| {
+                format!("{:?}", pm.check_block_row(1))
+            }),
+            ("check_block_col", |pm| {
+                format!("{:?}", pm.check_block_col(2))
+            }),
+            ("check_all", |pm| format!("{:?}", pm.check_all())),
+            ("check_all_cols", |pm| format!("{:?}", pm.check_all_cols())),
+        ];
+        let grid = random_grid(15, 41);
+        for (fault_name, fault) in faults {
+            for (check_name, check) in checks {
+                let ctx = format!("{fault_name}, {check_name}");
+                let mut checked = machine(15, 5);
+                checked.load_grid(&grid);
+                assert_eq!(checked.check_all().unwrap().checked, 9);
+                let mut never = machine(15, 5);
+                never.load_grid(&grid);
+                fault(&mut checked);
+                fault(&mut never);
+                let (before_checked, before_never) = (*checked.stats(), *never.stats());
+                assert_eq!(check(&mut checked), check(&mut never), "{ctx}");
+                let want = *never.stats() - before_never;
+                assert_eq!(*checked.stats() - before_checked, want, "{ctx}");
+                assert_eq!(
+                    want.errors_corrected + want.errors_uncorrectable,
+                    1,
+                    "{ctx}: the fault is found"
+                );
+                assert_eq!(
+                    checked.uncorrectable_blocks(),
+                    never.uncorrectable_blocks(),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    checked.mem().grid().diff(never.mem().grid()),
+                    vec![],
+                    "{ctx}"
+                );
+                for (br, bc) in (0..3).flat_map(|br| (0..3).map(move |bc| (br, bc))) {
+                    for family in [Family::Leading, Family::Counter] {
+                        assert_eq!(
+                            checked.cmem().block_checks_word(family, br, bc),
+                            never.cmem().block_checks_word(family, br, bc),
+                            "{ctx}: {family:?} checks of block ({br},{bc})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Runs one mixed op/fault/check scenario on a given engine.

@@ -7,6 +7,13 @@
 //! word-plane loads, compiled column replays), which the reference runs one
 //! line or one step at a time.
 //!
+//! The word engine answers checks of verified blocks from its verified map
+//! and the reference never does, so the op mix includes every call that
+//! can put a block's data and check-bits out of step — soft errors in data
+//! and check-bits, stuck cells, block resets, coverage changes and
+//! pre-write checking toggled mid-sequence. A missing invalidation shows
+//! up as a report, statistics or check-bit mismatch.
+//!
 //! The case count defaults to 24; `PIMECC_DIFF_CASES` raises it (CI does).
 
 use pimecc_core::shifter::Family;
@@ -111,6 +118,25 @@ enum Op {
         b: usize,
     },
     CheckAllCols,
+    /// Pins a cell at a value (`set_stuck`).
+    Stuck {
+        r: usize,
+        c: usize,
+        v: bool,
+    },
+    /// The direct block reset (`reset_block`).
+    ResetBlock {
+        br: usize,
+        bc: usize,
+    },
+    /// Covers or uncovers one block (`set_block_covered`).
+    Cover {
+        br: usize,
+        bc: usize,
+        on: bool,
+    },
+    /// Turns pre-write checking on or off (`set_check_on_critical`).
+    Paranoid(bool),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -170,6 +196,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         load().prop_map(|lines| Op::LoadCols { lines }),
         (gates(), idx(), idx()).prop_map(|(gates, a, b)| Op::FusedCols { gates, a, b }),
         Just(Op::CheckAllCols),
+        (idx(), idx(), any::<bool>()).prop_map(|(r, c, v)| Op::Stuck { r, c, v }),
+        (idx(), idx()).prop_map(|(br, bc)| Op::ResetBlock { br, bc }),
+        (idx(), idx(), any::<bool>()).prop_map(|(br, bc, on)| Op::Cover { br, bc, on }),
+        any::<bool>().prop_map(Op::Paranoid),
     ]
 }
 
@@ -372,6 +402,10 @@ fn apply(pm: &mut ProtectedMemory, op: &Op) -> (CheckReport, bool) {
             }
         }
         Op::CheckAllCols => report += pm.check_all_cols().unwrap(),
+        Op::Stuck { r, c, v } => pm.set_stuck(r % n, c % n, *v),
+        Op::ResetBlock { br, bc } => pm.reset_block(br % bps, bc % bps).unwrap(),
+        Op::Cover { br, bc, on } => pm.set_block_covered(br % bps, bc % bps, *on).unwrap(),
+        Op::Paranoid(on) => pm.set_check_on_critical(*on),
     }
     (report, pm.verify_consistency().is_ok())
 }

@@ -540,21 +540,10 @@ impl PimDevice {
             && self.retired.retired_count(Axis::Cols) == 0;
         if fully_healthy {
             // The common case sweeps the whole memory at the amortized
-            // row-read cost; only an uncorrectable verdict pays the
-            // per-block re-walk that localizes the evidence.
+            // row-read cost; the sweep itself lists the blocks it left
+            // uncorrectable.
             check = self.memory.check_all()?;
-            if check.uncorrectable > 0 {
-                for br in 0..bps {
-                    for bc in 0..bps {
-                        if matches!(
-                            self.memory.check_block(br, bc)?,
-                            pimecc_core::ErrorLocation::Uncorrectable
-                        ) {
-                            struck_blocks.push((br, bc));
-                        }
-                    }
-                }
-            }
+            struck_blocks.extend_from_slice(self.memory.uncorrectable_blocks());
         } else {
             // Retired territory exists: walk per block so lines retired on
             // both axes — fully out of service — stop generating findings,
@@ -808,17 +797,7 @@ impl PimDevice {
                 // the machine can sweep reading each MEM row once instead
                 // of once per column.
                 input_check = self.memory.check_all_cols()?;
-                if input_check.uncorrectable > 0 {
-                    // The sweep doesn't say *which* column is bad; only
-                    // this (rare) verdict pays a per-column re-walk to
-                    // localize the evidence. Billed honestly to the batch.
-                    for i in 0..self.block_lines.len() {
-                        let bl = self.block_lines[i];
-                        if self.memory.check_block_col(bl)?.uncorrectable > 0 {
-                            suspects.push(bl);
-                        }
-                    }
-                }
+                suspects.extend(self.memory.uncorrectable_blocks().iter().map(|&(_, bc)| bc));
             } else {
                 for i in 0..self.block_lines.len() {
                     let bl = self.block_lines[i];
@@ -1513,6 +1492,53 @@ mod tests {
             assert_eq!(outcome.outputs[i], nl.eval(req), "request {i}");
         }
         assert!(device.memory().verify_consistency().is_ok());
+    }
+
+    #[test]
+    fn scrub_pass_counts_an_uncorrectable_block_once() {
+        // Two flips in block (0,0): the full-memory sweep finds it
+        // uncorrectable once, and the struck block comes from that sweep,
+        // not from a second check of the memory.
+        let mut device = PimDevice::new(30, 3).expect("device");
+        device.inject_fault(0, 0);
+        device.inject_fault(1, 2);
+        let report = device.scrub_pass().expect("scrubs");
+        assert_eq!(report.check.uncorrectable, 1);
+        assert_eq!(report.check.checked, 100);
+        assert_eq!(report.struck_blocks, vec![(0, 0)]);
+        assert_eq!(report.stats.errors_uncorrectable, 1);
+        assert_eq!(report.stats.blocks_checked, 100);
+        assert_eq!(device.retired().strikes(Axis::Rows, 0), 1);
+        assert_eq!(device.retired().strikes(Axis::Cols, 0), 1);
+    }
+
+    #[test]
+    fn full_column_wave_counts_an_uncorrectable_block_once() {
+        // A full column wave pre-checks the whole memory in one sweep. Two
+        // flips in block (9,9) are one uncorrectable verdict: block column
+        // 9 is suspect, scrubbed (3 cycles) and struck, and the wave bills
+        // its ten column checks once — localizing the verdict with a second
+        // sweep would add 30 cycles and 100 block checks.
+        let (nor, nl) = small_circuit();
+        let mut device = PimDevice::new(30, 3).expect("device");
+        let p = device.compile(&nor).expect("compiles");
+        let requests: Vec<Vec<bool>> = (0..30u32)
+            .map(|v| (0..3).map(|i| v >> i & 1 != 0).collect())
+            .collect();
+        device.inject_fault(27, 27);
+        device.inject_fault(28, 28);
+        let outcome = run_packed(&mut device, &p, Axis::Cols, &requests).expect("runs");
+        assert_eq!(outcome.input_check.uncorrectable, 1);
+        assert_eq!(outcome.input_check.checked, 100);
+        assert_eq!(outcome.stats.errors_uncorrectable, 1);
+        assert_eq!(outcome.stats.blocks_checked, 100);
+        assert_eq!(outcome.stats.mem_cycles, 159);
+        let suspect = outcome.uncorrectable_input.as_ref().expect("suspect");
+        assert_eq!(suspect.lines, vec![9]);
+        assert_eq!(device.retired().strikes(Axis::Cols, 9), 1);
+        for (i, req) in requests.iter().enumerate().take(27) {
+            assert_eq!(outcome.outputs[i], nl.eval(req), "request {i}");
+        }
     }
 
     #[test]
