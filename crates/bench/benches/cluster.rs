@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the sharded cluster: one flush of mixed
 //! int2float + adder traffic at 1 / 2 / 4 shards. The host does the same
 //! total simulation work regardless of shard count (the modeled win —
-//! wall MEM cycles — is what `examples/cluster_throughput.rs` records);
-//! this bench guards the queue/scheduler overhead on top of it.
+//! wall MEM cycles — is what the `tests/end_to_end.rs` shard sweep
+//! asserts); this bench guards the queue/scheduler overhead on top of it.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pimecc::prelude::*;

@@ -24,9 +24,6 @@ pub enum ClusterError {
     ZeroScrubPeriod,
     /// Recovery must require at least one clean scrub.
     ZeroRecoveryScrubs,
-    /// The adaptive deadline controller scales `flush_after` — it needs
-    /// one to scale.
-    AdaptiveWithoutDeadline,
     /// A knob that only affects the spawned service was set on a cluster
     /// built synchronously (use [`PimClusterBuilder::spawn`] instead of
     /// `build`).
@@ -135,12 +132,6 @@ impl fmt::Display for ClusterError {
             }
             ClusterError::ZeroRecoveryScrubs => {
                 write!(f, "recovery must require at least one clean scrub")
-            }
-            ClusterError::AdaptiveWithoutDeadline => {
-                write!(
-                    f,
-                    "adaptive_deadline scales flush_after; configure a flush_after deadline"
-                )
             }
             ClusterError::ServiceOnly { knob } => {
                 write!(

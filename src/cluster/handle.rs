@@ -559,7 +559,7 @@ impl ClusterHandle {
 
     /// The service's latest [`HealthSnapshot`]: per-shard scrub / error /
     /// wear / quarantine ledgers, p50/p95/p99 queue and execute latency,
-    /// and the effective auto-flush deadline.
+    /// and the lifetime request, retry and dead-letter counts.
     ///
     /// The worker publishes a fresh snapshot after every flush and every
     /// background scrub pass; this read never blocks on shard execution

@@ -32,11 +32,6 @@
 //!   [`TicketResult`](crate::cluster::TicketResult) already carries, plus
 //!   the per-shard counters, and is served lock-free of the worker by
 //!   [`ClusterHandle::metrics`](crate::cluster::ClusterHandle::metrics).
-//!   An optional
-//!   [`adaptive_deadline`](crate::cluster::PimClusterBuilder::adaptive_deadline)
-//!   controller scales `flush_after` with observed wave occupancy:
-//!   light traffic flushes sooner (less dead air before a wave), heavy
-//!   traffic relaxes back toward fuller batches.
 //!
 //! The drift-aware refresh analysis in
 //! [`DriftModel`](pimecc_reliability::DriftModel) composes with the same
@@ -225,10 +220,6 @@ pub struct HealthSnapshot {
     /// after exhausting their retry budget — every one an explicit error
     /// in place of a silently wrong answer.
     pub dead_letters: u64,
-    /// The auto-flush deadline currently in force — the configured
-    /// `flush_after` scaled by the adaptive controller (`None` without a
-    /// deadline).
-    pub effective_flush_after: Option<Duration>,
 }
 
 impl HealthSnapshot {
@@ -273,8 +264,6 @@ pub(crate) struct HealthConfig {
     pub(crate) window: usize,
     /// Latency samples retained per distribution.
     pub(crate) latency_window: usize,
-    /// Whether the deadline controller scales `flush_after` with load.
-    pub(crate) adaptive_deadline: bool,
 }
 
 impl Default for HealthConfig {
@@ -285,7 +274,6 @@ impl Default for HealthConfig {
             recovery_scrubs: 3,
             window: 32,
             latency_window: 4096,
-            adaptive_deadline: false,
         }
     }
 }
@@ -335,23 +323,10 @@ pub(crate) struct HealthMonitor {
     dead_letters: u64,
     /// Round-robin cursor of the scrub scheduler.
     scrub_cursor: usize,
-    /// Adaptive multiplier on the base deadline, clamped to
-    /// `[0.25, 4.0]`.
-    deadline_scale: f64,
-    /// The configured `flush_after` the scale applies to.
-    flush_after: Option<Duration>,
-    /// Requests one shard line-set can carry per wave (occupancy
-    /// denominator of the adaptive controller).
-    line_capacity: usize,
 }
 
 impl HealthMonitor {
-    pub(crate) fn new(
-        shards: usize,
-        line_capacity: usize,
-        cfg: HealthConfig,
-        flush_after: Option<Duration>,
-    ) -> Self {
+    pub(crate) fn new(shards: usize, cfg: HealthConfig) -> Self {
         HealthMonitor {
             cfg,
             shards: vec![ShardTracker::default(); shards],
@@ -363,9 +338,6 @@ impl HealthMonitor {
             retries: 0,
             dead_letters: 0,
             scrub_cursor: 0,
-            deadline_scale: 1.0,
-            flush_after,
-            line_capacity: line_capacity.max(1),
         }
     }
 
@@ -395,13 +367,12 @@ impl HealthMonitor {
     }
 
     /// Folds one flush's outcome into the ledgers: per-shard check
-    /// telemetry, wear, error windows (quarantining over-budget shards),
-    /// latency reservoirs, and the adaptive-deadline controller.
+    /// telemetry, wear, error windows (quarantining over-budget shards)
+    /// and latency reservoirs.
     pub(crate) fn observe_flush(&mut self, outcome: &ClusterOutcome) {
         if outcome.results.is_empty() && outcome.waves == 0 {
             return;
         }
-        let active = self.active_shards().len();
         self.flushes += 1;
         self.requests += outcome.results.len() as u64;
         self.retries += outcome.retries;
@@ -440,20 +411,6 @@ impl HealthMonitor {
         }
         while self.exec_lat.len() > self.cfg.latency_window {
             self.exec_lat.pop_front();
-        }
-        if self.cfg.adaptive_deadline && self.flush_after.is_some() {
-            // Wave occupancy of this flush: requests served over the line
-            // capacity the active pool offered per wave. Near-full waves
-            // mean the deadline is cutting batches short — relax it;
-            // near-empty waves mean requests are waiting on dead air —
-            // tighten it.
-            let capacity = (active.max(1) * self.line_capacity * outcome.waves.max(1)) as f64;
-            let occupancy = outcome.results.len() as f64 / capacity;
-            if occupancy >= 0.5 {
-                self.deadline_scale = (self.deadline_scale * 2.0).min(4.0);
-            } else if occupancy < 0.125 {
-                self.deadline_scale = (self.deadline_scale / 2.0).max(0.25);
-            }
         }
     }
 
@@ -540,18 +497,6 @@ impl HealthMonitor {
         shard
     }
 
-    /// The auto-flush deadline currently in force: the configured base
-    /// scaled by the adaptive controller.
-    pub(crate) fn effective_deadline(&self) -> Option<Duration> {
-        self.flush_after.map(|base| {
-            if self.cfg.adaptive_deadline {
-                base.mul_f64(self.deadline_scale)
-            } else {
-                base
-            }
-        })
-    }
-
     /// Materializes the public snapshot.
     pub(crate) fn snapshot(&self) -> HealthSnapshot {
         let queue: Vec<Duration> = self.queue_lat.iter().copied().collect();
@@ -565,7 +510,6 @@ impl HealthMonitor {
             scrub_waves: self.scrub_waves,
             retries: self.retries,
             dead_letters: self.dead_letters,
-            effective_flush_after: self.effective_deadline(),
         }
     }
 }
@@ -671,7 +615,7 @@ mod tests {
             recovery_scrubs: 2,
             ..HealthConfig::default()
         };
-        let mut mon = HealthMonitor::new(2, 30, cfg, None);
+        let mut mon = HealthMonitor::new(2, cfg);
         assert_eq!(mon.active_shards(), vec![0, 1]);
 
         // Three errors on shard 1 bust the budget of 2.
@@ -717,7 +661,7 @@ mod tests {
             error_budget: Some(0),
             ..HealthConfig::default()
         };
-        let mut mon = HealthMonitor::new(2, 30, cfg, None);
+        let mut mon = HealthMonitor::new(2, cfg);
         let dirty = CheckReport {
             checked: 10,
             corrected: 1,
@@ -735,7 +679,7 @@ mod tests {
 
     #[test]
     fn force_quarantine_round_trips_and_is_idempotent() {
-        let mut mon = HealthMonitor::new(3, 30, HealthConfig::default(), None);
+        let mut mon = HealthMonitor::new(3, HealthConfig::default());
         mon.force_quarantine(1, true);
         mon.force_quarantine(1, true);
         assert_eq!(mon.active_shards(), vec![0, 2]);
@@ -748,7 +692,7 @@ mod tests {
 
     #[test]
     fn scrub_rotation_includes_quarantined_shards() {
-        let mut mon = HealthMonitor::new(3, 30, HealthConfig::default(), None);
+        let mut mon = HealthMonitor::new(3, HealthConfig::default());
         mon.force_quarantine(1, true);
         let order: Vec<usize> = (0..6).map(|_| mon.next_scrub_shard()).collect();
         assert_eq!(order, vec![0, 1, 2, 0, 1, 2]);
@@ -761,7 +705,7 @@ mod tests {
             error_budget: Some(10),
             ..HealthConfig::default()
         };
-        let mut mon = HealthMonitor::new(1, 30, cfg, None);
+        let mut mon = HealthMonitor::new(1, cfg);
         let dirty = CheckReport {
             checked: 10,
             corrected: 2,
@@ -790,58 +734,8 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_deadline_tracks_occupancy() {
-        use crate::cluster::outcome::TicketResult;
-        use crate::device::Axis;
-        let cfg = HealthConfig {
-            adaptive_deadline: true,
-            ..HealthConfig::default()
-        };
-        let base = Duration::from_millis(2);
-        let mut mon = HealthMonitor::new(1, 4, cfg, Some(base));
-        assert_eq!(mon.effective_deadline(), Some(base));
-
-        let outcome_with = |requests: usize| {
-            let mut o = ClusterOutcome::empty(1);
-            o.waves = 1;
-            o.shard_reports[0].batches = 1;
-            o.results = (0..requests)
-                .map(|i| TicketResult {
-                    ticket: super::super::queue::Ticket(i as u64),
-                    shard: 0,
-                    wave: 0,
-                    axis: Axis::Rows,
-                    line: i,
-                    offset: 0,
-                    outputs: Default::default(),
-                    attempts: 1,
-                    queue_latency: Duration::ZERO,
-                    execute_latency: Duration::ZERO,
-                    attempt_latencies: vec![Duration::ZERO],
-                })
-                .collect();
-            o
-        };
-        // Full wave (4/4 lines): the deadline relaxes.
-        mon.observe_flush(&outcome_with(4));
-        assert_eq!(mon.effective_deadline(), Some(base * 2));
-        mon.observe_flush(&outcome_with(4));
-        mon.observe_flush(&outcome_with(4));
-        assert_eq!(
-            mon.effective_deadline(),
-            Some(base * 4),
-            "the scale clamps at 4x"
-        );
-        // Nearly empty waves walk it back down to the 0.25x floor.
-        for _ in 0..6 {
-            mon.observe_flush(&outcome_with(0));
-        }
-        assert_eq!(mon.effective_deadline(), Some(base / 4));
-    }
-
-    #[test]
     fn snapshot_aggregates_flush_telemetry_per_shard() {
-        let mut mon = HealthMonitor::new(2, 30, HealthConfig::default(), None);
+        let mut mon = HealthMonitor::new(2, HealthConfig::default());
         let mut o = ClusterOutcome::empty(2);
         o.waves = 1;
         o.shard_reports[0].batches = 1;

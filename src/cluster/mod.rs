@@ -153,9 +153,9 @@ use std::time::{Duration, Instant};
 /// blocks);
 /// [`shard_geometries`](PimClusterBuilder::shard_geometries) builds a
 /// **mixed pool** instead — per-shard crossbar sizes, with the scheduler
-/// routing each program to the smallest idle shard it fits. Checking and
-/// coverage policies default cluster-wide and can be overridden per
-/// shard.
+/// routing each program to the smallest idle shard it fits. The checking
+/// policy applies cluster-wide; coverage defaults to full and can be
+/// relaxed per shard.
 ///
 /// ```
 /// use pimecc::prelude::*;
@@ -176,8 +176,6 @@ pub struct PimClusterBuilder {
     n: usize,
     m: usize,
     check_policy: CheckPolicy,
-    coverage: CoveragePolicy,
-    check_overrides: Vec<(usize, CheckPolicy)>,
     coverage_overrides: Vec<(usize, CoveragePolicy)>,
     fault_hooks: Vec<(usize, BatchFaultHook)>,
     batch_limit: Option<usize>,
@@ -189,7 +187,6 @@ pub struct PimClusterBuilder {
     scrub_period: Option<Duration>,
     error_budget: Option<u64>,
     recovery_scrubs: Option<u32>,
-    adaptive_deadline: bool,
     engine: SimEngine,
     max_retries: Option<u32>,
     retire_after: Option<u32>,
@@ -203,8 +200,6 @@ impl std::fmt::Debug for PimClusterBuilder {
             .field("n", &self.n)
             .field("m", &self.m)
             .field("check_policy", &self.check_policy)
-            .field("coverage", &self.coverage)
-            .field("check_overrides", &self.check_overrides)
             .field("coverage_overrides", &self.coverage_overrides)
             .field("fault_hooks", &self.fault_hooks.len())
             .field("batch_limit", &self.batch_limit)
@@ -216,7 +211,6 @@ impl std::fmt::Debug for PimClusterBuilder {
             .field("scrub_period", &self.scrub_period)
             .field("error_budget", &self.error_budget)
             .field("recovery_scrubs", &self.recovery_scrubs)
-            .field("adaptive_deadline", &self.adaptive_deadline)
             .field("engine", &self.engine)
             .field("max_retries", &self.max_retries)
             .field("retire_after", &self.retire_after)
@@ -234,8 +228,6 @@ impl PimClusterBuilder {
             n,
             m,
             check_policy: CheckPolicy::default(),
-            coverage: CoveragePolicy::default(),
-            check_overrides: Vec::new(),
             coverage_overrides: Vec::new(),
             fault_hooks: Vec::new(),
             batch_limit: None,
@@ -247,7 +239,6 @@ impl PimClusterBuilder {
             scrub_period: None,
             error_budget: None,
             recovery_scrubs: None,
-            adaptive_deadline: false,
             engine: SimEngine::default(),
             max_retries: None,
             retire_after: None,
@@ -301,22 +292,8 @@ impl PimClusterBuilder {
         self
     }
 
-    /// Selects the block coverage policy of every shard (default:
-    /// [`CoveragePolicy::Full`]).
-    pub fn coverage(mut self, coverage: CoveragePolicy) -> Self {
-        self.coverage = coverage;
-        self
-    }
-
-    /// Overrides the checking policy of one shard — e.g. one
-    /// [`CheckPolicy::Paranoid`] canary shard in an otherwise default
-    /// pool.
-    pub fn shard_check_policy(mut self, shard: usize, policy: CheckPolicy) -> Self {
-        self.check_overrides.push((shard, policy));
-        self
-    }
-
-    /// Overrides the coverage policy of one shard — e.g. a pool where one
+    /// Sets the coverage policy of one shard (default:
+    /// [`CoveragePolicy::Full`] on every shard) — e.g. a pool where one
     /// shard sacrifices scratch-block protection for capacity.
     pub fn shard_coverage(mut self, shard: usize, coverage: CoveragePolicy) -> Self {
         self.coverage_overrides.push((shard, coverage));
@@ -493,45 +470,6 @@ impl PimClusterBuilder {
         self
     }
 
-    /// Enables the adaptive `flush_after` controller (service-only SLO
-    /// knob): the worker scales the configured
-    /// [`flush_after`](PimClusterBuilder::flush_after) deadline with
-    /// observed wave occupancy — near-empty waves tighten it (down to
-    /// 0.25×: light traffic should not sit out the full deadline),
-    /// near-full waves relax it (up to 4×: heavy traffic benefits from
-    /// fuller batches). The deadline currently in force is reported as
-    /// [`HealthSnapshot::effective_flush_after`].
-    ///
-    /// Requires `flush_after`; [`PimClusterBuilder::spawn`] rejects the
-    /// combination without one
-    /// ([`ClusterError::AdaptiveWithoutDeadline`]), and
-    /// [`PimClusterBuilder::build`] rejects it outright
-    /// ([`ClusterError::ServiceOnly`]).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use pimecc::prelude::*;
-    /// use std::time::Duration;
-    ///
-    /// # fn main() -> Result<(), ClusterError> {
-    /// let handle = PimClusterBuilder::new(2, 30, 3)
-    ///     .flush_after(Duration::from_millis(2))
-    ///     .adaptive_deadline(true)
-    ///     .spawn()?;
-    /// assert_eq!(
-    ///     handle.metrics().effective_flush_after,
-    ///     Some(Duration::from_millis(2)),
-    /// );
-    /// handle.close()?;
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn adaptive_deadline(mut self, enabled: bool) -> Self {
-        self.adaptive_deadline = enabled;
-        self
-    }
-
     /// Installs a fault hook on one shard (fault-injection knob for
     /// examples and tests): the hook runs against the shard's protected
     /// memory once per batch, before the pre-execution check and the
@@ -575,17 +513,13 @@ impl PimClusterBuilder {
         if self.recovery_scrubs == Some(0) {
             return Err(ClusterError::ZeroRecoveryScrubs);
         }
-        if self.adaptive_deadline && self.flush_after.is_none() {
-            return Err(ClusterError::AdaptiveWithoutDeadline);
-        }
         if self.retire_after == Some(0) {
             return Err(ClusterError::ZeroRetireAfter);
         }
         if let Some(shard) = self
-            .check_overrides
+            .coverage_overrides
             .iter()
             .map(|&(shard, _)| shard)
-            .chain(self.coverage_overrides.iter().map(|&(shard, _)| shard))
             .chain(self.fault_hooks.iter().map(|&(shard, _)| shard))
             .find(|&shard| shard >= self.shards)
         {
@@ -617,21 +551,15 @@ impl PimClusterBuilder {
         }
         let mut shards = Vec::with_capacity(self.shards);
         for (i, hook) in hooks.into_iter().enumerate() {
-            let policy = self
-                .check_overrides
-                .iter()
-                .rev()
-                .find(|(shard, _)| *shard == i)
-                .map_or(self.check_policy, |&(_, p)| p);
             let coverage = self
                 .coverage_overrides
                 .iter()
                 .rev()
                 .find(|(shard, _)| *shard == i)
-                .map_or_else(|| self.coverage.clone(), |(_, c)| c.clone());
+                .map_or_else(CoveragePolicy::default, |(_, c)| c.clone());
             let (n, m) = geometries[i];
             let mut builder = PimDeviceBuilder::new(n, m)
-                .check_policy(policy)
+                .check_policy(self.check_policy)
                 .coverage(coverage)
                 .engine(self.engine);
             if let Some(strikes) = self.retire_after {
@@ -648,15 +576,12 @@ impl PimClusterBuilder {
         let batch_limit = self.batch_limit.unwrap_or(n_max).min(n_max);
         let health = HealthMonitor::new(
             self.shards,
-            batch_limit,
             HealthConfig {
                 scrub_period: self.scrub_period,
                 error_budget: self.error_budget,
                 recovery_scrubs: self.recovery_scrubs.unwrap_or(3),
-                adaptive_deadline: self.adaptive_deadline,
                 ..HealthConfig::default()
             },
-            self.flush_after,
         );
         let core = ClusterCore {
             shards,
@@ -673,6 +598,7 @@ impl PimClusterBuilder {
         };
         let config = ServiceConfig {
             flush_at: self.auto_flush_at,
+            flush_after: self.flush_after,
             queue_limit: self.queue_limit,
         };
         Ok((core, config))
@@ -689,9 +615,7 @@ impl PimClusterBuilder {
     /// [`ClusterError::ServiceOnly`] when a service-only knob
     /// ([`flush_after`](PimClusterBuilder::flush_after),
     /// [`queue_limit`](PimClusterBuilder::queue_limit),
-    /// [`scrub_period`](PimClusterBuilder::scrub_period),
-    /// [`adaptive_deadline`](PimClusterBuilder::adaptive_deadline)) is
-    /// set, and [`ClusterError::Shard`] when a shard's geometry or
+    /// [`scrub_period`](PimClusterBuilder::scrub_period)) is set, and [`ClusterError::Shard`] when a shard's geometry or
     /// coverage map is rejected.
     pub fn build(self) -> Result<PimCluster, ClusterError> {
         if self.flush_after.is_some() {
@@ -707,11 +631,6 @@ impl PimClusterBuilder {
         if self.scrub_period.is_some() {
             return Err(ClusterError::ServiceOnly {
                 knob: "scrub_period",
-            });
-        }
-        if self.adaptive_deadline {
-            return Err(ClusterError::ServiceOnly {
-                knob: "adaptive_deadline",
             });
         }
         let (core, config) = self.build_core()?;
@@ -742,9 +661,7 @@ impl PimClusterBuilder {
     /// As [`PimClusterBuilder::build`], plus
     /// [`ClusterError::ZeroFlushDeadline`] /
     /// [`ClusterError::ZeroQueueLimit`] /
-    /// [`ClusterError::ZeroScrubPeriod`] /
-    /// [`ClusterError::AdaptiveWithoutDeadline`] on degenerate service
-    /// knobs (service-only knobs are of course accepted here).
+    /// [`ClusterError::ZeroScrubPeriod`] on degenerate service knobs (service-only knobs are of course accepted here).
     pub fn spawn(mut self) -> Result<ClusterHandle, ClusterError> {
         if self.scrub_period.is_none() {
             self.scrub_period = Some(default_scrub_period());
@@ -1176,24 +1093,6 @@ impl PimCluster {
         })
     }
 
-    /// Convenience: submit every `(program, inputs)` pair, flush, and
-    /// return the issued tickets (in request order) with the outcome.
-    ///
-    /// # Errors
-    ///
-    /// As [`PimCluster::submit`] and [`PimCluster::flush`].
-    pub fn run_all(
-        &mut self,
-        requests: impl IntoIterator<Item = (CompiledProgram, Vec<bool>)>,
-    ) -> Result<(Vec<Ticket>, ClusterOutcome), ClusterError> {
-        let tickets = requests
-            .into_iter()
-            .map(|(program, inputs)| self.submit(&program, inputs))
-            .collect::<Result<Vec<_>, _>>()?;
-        let outcome = self.flush()?;
-        Ok((tickets, outcome))
-    }
-
     /// Executes everything pending. On a shard error the partial outcome
     /// (completed batches) is banked so served tickets survive; see
     /// [`PimCluster::flush`].
@@ -1275,16 +1174,6 @@ mod tests {
                 .unwrap_err(),
             ClusterError::ZeroFlushThreshold
         );
-        assert_eq!(
-            PimClusterBuilder::new(2, 30, 3)
-                .shard_check_policy(2, CheckPolicy::Skip)
-                .build()
-                .unwrap_err(),
-            ClusterError::ShardOutOfRange {
-                shard: 2,
-                shards: 2
-            }
-        );
         assert!(matches!(
             PimClusterBuilder::new(1, 10, 3).build().unwrap_err(),
             ClusterError::Shard { shard: 0, .. }
@@ -1354,26 +1243,6 @@ mod tests {
         );
         assert_eq!(
             PimClusterBuilder::new(1, 30, 3)
-                .flush_after(Duration::from_millis(1))
-                .adaptive_deadline(true)
-                .build()
-                .unwrap_err(),
-            ClusterError::ServiceOnly {
-                knob: "flush_after"
-            },
-            "flush_after is rejected first; adaptive alone is too"
-        );
-        assert_eq!(
-            PimClusterBuilder::new(1, 30, 3)
-                .adaptive_deadline(true)
-                .build()
-                .unwrap_err(),
-            ClusterError::ServiceOnly {
-                knob: "adaptive_deadline"
-            }
-        );
-        assert_eq!(
-            PimClusterBuilder::new(1, 30, 3)
                 .scrub_period(Duration::ZERO)
                 .spawn()
                 .unwrap_err(),
@@ -1393,13 +1262,6 @@ mod tests {
                 .unwrap_err(),
             ClusterError::ZeroRecoveryScrubs,
             "recovery_scrubs works on both front-ends, so both validate it"
-        );
-        assert_eq!(
-            PimClusterBuilder::new(1, 30, 3)
-                .adaptive_deadline(true)
-                .spawn()
-                .unwrap_err(),
-            ClusterError::AdaptiveWithoutDeadline
         );
         assert_eq!(
             PimClusterBuilder::new(2, 30, 3)
@@ -1424,13 +1286,12 @@ mod tests {
     fn per_shard_policy_overrides_apply() {
         let cluster = PimClusterBuilder::new(3, 30, 3)
             .check_policy(CheckPolicy::Skip)
-            .shard_check_policy(1, CheckPolicy::Paranoid)
             .shard_coverage(2, CoveragePolicy::Uncovered(vec![(0, 0)]))
             .build()
             .expect("cluster");
-        assert_eq!(cluster.shard(0).check_policy(), CheckPolicy::Skip);
-        assert_eq!(cluster.shard(1).check_policy(), CheckPolicy::Paranoid);
-        assert_eq!(cluster.shard(2).check_policy(), CheckPolicy::Skip);
+        for i in 0..3 {
+            assert_eq!(cluster.shard(i).check_policy(), CheckPolicy::Skip);
+        }
         assert!(cluster.shard(0).memory().block_covered(0, 0));
         assert!(!cluster.shard(2).memory().block_covered(0, 0));
         assert_eq!(
@@ -1750,22 +1611,6 @@ mod tests {
     }
 
     #[test]
-    fn run_all_round_trips_requests_in_order() {
-        let (nor, nl) = xor_circuit();
-        let mut cluster = PimCluster::new(3, 30, 3).expect("cluster");
-        let p = cluster.compile(&nor).expect("compiles");
-        let requests: Vec<(CompiledProgram, Vec<bool>)> = (0..9u32)
-            .map(|v| (p.clone(), vec![v & 1 != 0, v & 2 != 0]))
-            .collect();
-        let inputs: Vec<Vec<bool>> = requests.iter().map(|(_, i)| i.clone()).collect();
-        let (tickets, outcome) = cluster.run_all(requests).expect("runs");
-        assert_eq!(tickets.len(), 9);
-        for (t, inputs) in tickets.iter().zip(&inputs) {
-            assert_eq!(outcome.outputs_for(*t), Some(nl.eval(inputs).as_slice()));
-        }
-    }
-
-    #[test]
     fn a_too_narrow_shard_is_routed_around_not_crashed_into() {
         // Shard 1 is sabotaged (swapped for a crossbar too narrow for the
         // compiled programs). The geometry-aware scheduler reads each
@@ -1946,7 +1791,7 @@ mod tests {
             pending: Vec::new(),
             pending_partitioned: Vec::new(),
             waves_dispatched: 0,
-            health: HealthMonitor::new(1, 30, HealthConfig::default(), None),
+            health: HealthMonitor::new(1, HealthConfig::default()),
             arena: FlushArena::default(),
         };
         let handle = handle::spawn(core, ServiceConfig::default());
@@ -1982,7 +1827,7 @@ mod tests {
             pending: Vec::new(),
             pending_partitioned: Vec::new(),
             waves_dispatched: 0,
-            health: HealthMonitor::new(2, 30, HealthConfig::default(), None),
+            health: HealthMonitor::new(2, HealthConfig::default()),
             arena: FlushArena::default(),
         };
         let handle = handle::spawn(core, ServiceConfig::default());

@@ -26,6 +26,9 @@ pub(crate) struct ServiceConfig {
     /// Pending-count threshold: the worker flushes as soon as this many
     /// requests are queued.
     pub(crate) flush_at: Option<usize>,
+    /// Max-latency deadline: the worker flushes once the oldest pending
+    /// request has waited this long.
+    pub(crate) flush_after: Option<Duration>,
     /// Bound on in-flight submissions (backpressure).
     pub(crate) queue_limit: Option<usize>,
 }

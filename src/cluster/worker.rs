@@ -59,10 +59,9 @@ pub(crate) fn run(
 ) {
     let _guard = PoisonGuard(&shared);
     shared.set_health(core.health.snapshot());
-    // When the oldest pending request must be served (the *effective*
-    // `flush_after` — the configured base scaled by the adaptive
-    // controller — counted from its submission instant); `None` while
-    // the queue is empty or no deadline is configured.
+    // When the oldest pending request must be served (`flush_after`
+    // counted from its submission instant); `None` while the queue is
+    // empty or no deadline is configured.
     let mut deadline: Option<Instant> = None;
     // When the next background scrub pass is due; `None` when scrubbing
     // is disabled.
@@ -132,10 +131,7 @@ pub(crate) fn run(
         match cmd {
             Command::Submit(p) => {
                 if core.pending_total() == 0 {
-                    deadline = core
-                        .health
-                        .effective_deadline()
-                        .map(|after| p.submitted_at + after);
+                    deadline = cfg.flush_after.map(|after| p.submitted_at + after);
                 }
                 core.pending.push(p);
                 if cfg.flush_at.is_some_and(|at| core.pending_total() >= at) {
@@ -144,10 +140,7 @@ pub(crate) fn run(
             }
             Command::SubmitPartitioned(p) => {
                 if core.pending_total() == 0 {
-                    deadline = core
-                        .health
-                        .effective_deadline()
-                        .map(|after| p.submitted_at + after);
+                    deadline = cfg.flush_after.map(|after| p.submitted_at + after);
                 }
                 core.pending_partitioned.push(p);
                 if cfg.flush_at.is_some_and(|at| core.pending_total() >= at) {

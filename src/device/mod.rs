@@ -410,45 +410,6 @@ impl PimDevice {
         PimDeviceBuilder::new(n, m).build()
     }
 
-    /// Wraps an existing protected memory with the default policies.
-    pub fn from_memory(memory: ProtectedMemory) -> Self {
-        // Keep the reported policy truthful: a memory that already checks
-        // before every critical write is a paranoid device. Skip is not
-        // observable in machine state — callers that want it pass it
-        // explicitly via `from_memory_with_policy`.
-        let check_policy = if memory.check_on_critical() {
-            CheckPolicy::Paranoid
-        } else {
-            CheckPolicy::default()
-        };
-        Self::from_memory_with_policy(memory, check_policy)
-    }
-
-    /// Wraps an existing protected memory under an explicit [`CheckPolicy`]
-    /// (e.g. to round-trip a [`CheckPolicy::Skip`] device through
-    /// [`PimDevice::into_memory`], which [`PimDevice::from_memory`] cannot
-    /// infer). The memory's pre-write checking flag is aligned with
-    /// `policy`.
-    pub fn from_memory_with_policy(mut memory: ProtectedMemory, policy: CheckPolicy) -> Self {
-        memory.set_check_on_critical(matches!(policy, CheckPolicy::Paranoid));
-        PimDevice {
-            retired: RetiredLines::new(memory.geometry().n(), memory.geometry().m(), None),
-            memory,
-            check_policy: policy,
-            fault_hook: None,
-            programs: ProgramCache::default(),
-            fused_plans: HashMap::new(),
-            line_loads: Vec::new(),
-            touched_lines: Vec::new(),
-            readback_runs: Vec::new(),
-            plane_msk: Vec::new(),
-            plane_val: Vec::new(),
-            plane_touched: Vec::new(),
-            block_lines: Vec::new(),
-            slot_scratch: Vec::new(),
-        }
-    }
-
     /// Number of rows — the maximum batch size.
     pub fn capacity(&self) -> usize {
         self.memory.geometry().n()
@@ -475,11 +436,6 @@ impl PimDevice {
     /// [`RetiredLines::avoid_lines`] to pack around them.
     pub fn retired(&self) -> &RetiredLines {
         &self.retired
-    }
-
-    /// Consumes the device, returning the machine.
-    pub fn into_memory(self) -> ProtectedMemory {
-        self.memory
     }
 
     /// Lifetime machine statistics (batches report their own deltas).
@@ -1627,30 +1583,6 @@ mod tests {
     }
 
     #[test]
-    fn from_memory_reports_the_memorys_actual_policy() {
-        let paranoid = PimDeviceBuilder::new(30, 3)
-            .check_policy(CheckPolicy::Paranoid)
-            .build()
-            .expect("device");
-        let rewrapped = PimDevice::from_memory(paranoid.into_memory());
-        assert_eq!(rewrapped.check_policy(), CheckPolicy::Paranoid);
-
-        let plain = PimDevice::new(30, 3).expect("device");
-        let rewrapped = PimDevice::from_memory(plain.into_memory());
-        assert_eq!(rewrapped.check_policy(), CheckPolicy::PreExecution);
-
-        // Skip is not observable in machine state; the explicit-policy
-        // constructor round-trips it (and downgrades a paranoid flag).
-        let skip = PimDeviceBuilder::new(30, 3)
-            .check_policy(CheckPolicy::Skip)
-            .build()
-            .expect("device");
-        let rewrapped = PimDevice::from_memory_with_policy(skip.into_memory(), CheckPolicy::Skip);
-        assert_eq!(rewrapped.check_policy(), CheckPolicy::Skip);
-        assert!(!rewrapped.memory().check_on_critical());
-    }
-
-    #[test]
     fn coverage_policy_uncovers_scratch_blocks() {
         let mut device = PimDeviceBuilder::new(9, 3)
             .coverage(CoveragePolicy::Uncovered(vec![(1, 1)]))
@@ -1659,8 +1591,7 @@ mod tests {
         assert!(!device.memory().block_covered(1, 1));
         assert!(device.memory().block_covered(0, 0));
         device.inject_fault(4, 4); // inside the scratch block
-        let mut pm = device.into_memory();
-        let report = pm.check_all().expect("check");
+        let report = device.check_all().expect("check");
         assert_eq!(
             report.corrected, 0,
             "scratch faults are invisible by design"

@@ -83,8 +83,8 @@
 //! ```
 //!
 //! A single crossbar without the queue is [`PimDevice::run_batch`]
-//! (see the [`device`] module docs). See `examples/cluster_throughput.rs`
-//! for the shard-count sweep, `examples/batch_throughput.rs` for the
+//! (see the [`device`] module docs). See `perfbench/` for the seeded
+//! end-to-end benchmark, `examples/batch_throughput.rs` for the
 //! cycle-amortization curve, and `crates/bench` for the binaries that
 //! regenerate every table and figure of the paper.
 

@@ -2,11 +2,16 @@
 //! mixed-fingerprint waves must stay bit-identical to each program served
 //! alone even on a degraded pool (a quarantined shard plus a retired
 //! line), and scheduling must be a pure function of submission order on
-//! a mixed-geometry pool.
+//! a mixed-geometry pool. A seeded long-tail run over the whole circuit
+//! zoo holds co-location to the row-only scheduler's answers and to the
+//! two-program workload's cell utilization.
 
+use pimecc::netlist::generators::{ripple_adder, zoo, Benchmark, Circuit};
 use pimecc::netlist::{Netlist, NetlistBuilder};
 use pimecc::prelude::*;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -197,4 +202,128 @@ proptest! {
         prop_assert_eq!(rerun.waves, first.waves);
         prop_assert_eq!(&rerun.shard_reports, &first.shard_reports);
     }
+}
+
+/// The long-tail pool: two short shards and two taller ones, so narrow
+/// programs spread over the whole pool and wide ones pin to the tall
+/// shards.
+fn longtail_pool() -> PimClusterBuilder {
+    let geometries = vec![(120, 3), (120, 3), (240, 3), (480, 3)];
+    PimClusterBuilder::new(4, 120, 3).shard_geometries(geometries)
+}
+
+/// 1500 requests over the 22-program zoo, Zipf(1.1)-ranked in zoo order:
+/// `(program rank, input bits)`, from a fixed seed.
+fn zipf_stream(circuits: &[Circuit]) -> Vec<(usize, Vec<bool>)> {
+    let mut acc = 0u64;
+    let cdf: Vec<u64> = (0..circuits.len())
+        .map(|k| {
+            acc += (1e9 / ((k + 1) as f64).powf(1.1)) as u64;
+            acc
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0x10_46_7A_11);
+    (0..1500)
+        .map(|_| {
+            let x = rng.gen_range(0..acc);
+            let rank = cdf.partition_point(|&c| c <= x);
+            let width = circuits[rank].netlist.num_inputs();
+            (rank, (0..width).map(|_| rng.gen()).collect())
+        })
+        .collect()
+}
+
+/// Serves the Zipf stream on the long-tail pool, checks that no ticket
+/// fails and every output matches its circuit's reference, and returns
+/// the outputs in submission order with the flush's cell utilization.
+fn serve_longtail(
+    circuits: &[Circuit],
+    stream: &[(usize, Vec<bool>)],
+    builder: PimClusterBuilder,
+) -> (Vec<Vec<bool>>, f64) {
+    let mut cluster = builder.build().expect("builds");
+    let programs: Vec<CompiledProgram> = circuits
+        .iter()
+        .map(|c| {
+            cluster
+                .compile_packed(&c.netlist.to_nor())
+                .expect("compiles")
+        })
+        .collect();
+    let tickets: Vec<Ticket> = stream
+        .iter()
+        .map(|(rank, inputs)| {
+            cluster
+                .submit(&programs[*rank], inputs.clone())
+                .expect("submits")
+        })
+        .collect();
+    let outcome = cluster.flush().expect("flushes");
+    assert!(outcome.failed.is_empty(), "no request may fail");
+    let outputs = stream
+        .iter()
+        .zip(&tickets)
+        .map(|((rank, inputs), t)| {
+            let got = outcome.outputs_for(*t).expect("served");
+            let want = (circuits[*rank].reference)(inputs);
+            assert_eq!(got, want.as_slice(), "{}", circuits[*rank].name);
+            got.to_vec()
+        })
+        .collect();
+    (outputs, outcome.cell_utilization())
+}
+
+#[test]
+fn longtail_zoo_traffic_colocates_bit_identically_to_row_only() {
+    // The full scheduler (spread, densify, pass-3 co-location) against
+    // the row-only one on the same Zipf stream, and its cell utilization
+    // against the two-program mixed workload on the same pool and
+    // request count.
+    let circuits = zoo();
+    let stream = zipf_stream(&circuits);
+    let (colocated, longtail_util) = serve_longtail(&circuits, &stream, longtail_pool());
+    let (row_only, _) = serve_longtail(
+        &circuits,
+        &stream,
+        longtail_pool().pack_limit(1).axis_policy(AxisPolicy::Rows),
+    );
+    assert_eq!(
+        colocated, row_only,
+        "co-location must be bit-identical to the row-only run"
+    );
+
+    // The yardstick: every third request int2float, the rest adder8.
+    let i2f = Benchmark::Int2float.build();
+    let adder = ripple_adder(8);
+    let mut cluster = longtail_pool().build().expect("builds");
+    let pa = cluster.compile_packed(&adder.to_nor()).expect("compiles");
+    let pi = cluster
+        .compile_packed(&i2f.netlist.to_nor())
+        .expect("compiles");
+    let mut rng = StdRng::seed_from_u64(0x2A11);
+    let mut tickets = Vec::new();
+    for i in 0..1500 {
+        let is_i2f = i % 3 == 2;
+        let width = if is_i2f { 11 } else { 16 };
+        let inputs: Vec<bool> = (0..width).map(|_| rng.gen()).collect();
+        let program = if is_i2f { &pi } else { &pa };
+        let t = cluster.submit(program, inputs.clone()).expect("submits");
+        tickets.push((t, is_i2f, inputs));
+    }
+    let mixed = cluster.flush().expect("flushes");
+    for (t, is_i2f, inputs) in &tickets {
+        let want = if *is_i2f {
+            (i2f.reference)(inputs)
+        } else {
+            adder.eval(inputs)
+        };
+        assert_eq!(mixed.outputs_for(*t), Some(want.as_slice()), "{t}");
+    }
+    let ratio = longtail_util / mixed.cell_utilization();
+    assert!(
+        ratio >= 0.8,
+        "long-tail cell utilization must hold >= 0.8x the two-program mixed \
+         figure: {longtail_util:.3} vs {:.3} ({ratio:.2}x)",
+        mixed.cell_utilization()
+    );
 }

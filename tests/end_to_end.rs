@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: circuits generated by `pimecc-netlist`,
 //! mapped by `pimecc-simpler`, executed on `pimecc-xbar` crossbars inside
 //! a `pimecc-core` protected memory — with faults injected and corrected
-//! mid-computation.
+//! mid-computation — plus the cluster's model-clock claims on the mixed
+//! int2float + adder8 workload: shard scaling, 2D packing, and engine
+//! identity.
 
 use pimecc::core::{BlockGeometry, ProtectedMemory};
 use pimecc::netlist::generators::{ripple_adder, Benchmark};
@@ -409,6 +411,234 @@ fn over_capacity_queue_flushes_in_multiple_waves() {
     assert!(dense.cell_utilization() > outcome.cell_utilization());
     for (t1, t2) in tickets.iter().zip(&tickets2) {
         assert_eq!(outcome.outputs_for(*t1), dense.outputs_for(*t2));
+    }
+}
+
+/// The i-th int2float request of the deterministic mixed workload.
+fn i2f_request(i: usize) -> Vec<bool> {
+    let x = (i * 37) as u32 & 0x7FF;
+    (0..11).map(|b| x >> b & 1 != 0).collect()
+}
+
+/// The i-th adder8 request of the deterministic mixed workload.
+fn add_request(i: usize) -> Vec<bool> {
+    let x = (i * 73) as u32 & 0xFFFF;
+    (0..16).map(|b| x >> b & 1 != 0).collect()
+}
+
+#[test]
+fn four_shards_at_least_double_mixed_gate_evals_per_mem_cycle() {
+    // 510 int2float + 510 adder8 requests, interleaved as at a shared
+    // service queue, on 1, 2 and 4 shards of 255×255/5 with full-width
+    // mappings. More shards carry more batches per wave, so the same work
+    // takes fewer elapsed MEM cycles.
+    let i2f = Benchmark::Int2float.build();
+    let i2f_nor = i2f.netlist.to_nor();
+    let adder = ripple_adder(8);
+    let adder_nor = adder.to_nor();
+    let mut throughput = Vec::new();
+    for shards in [1usize, 2, 4] {
+        let mut cluster = PimCluster::new(shards, 255, 5).expect("cluster");
+        let pi = cluster.compile(&i2f_nor).expect("compiles");
+        let pa = cluster.compile(&adder_nor).expect("compiles");
+        let mut tickets = Vec::new();
+        for i in 0..510 {
+            tickets.push((
+                cluster.submit(&pi, i2f_request(i)).expect("submits"),
+                true,
+                i,
+            ));
+            tickets.push((
+                cluster.submit(&pa, add_request(i)).expect("submits"),
+                false,
+                i,
+            ));
+        }
+        let outcome = cluster.flush().expect("flushes");
+        for &(ticket, is_i2f, i) in &tickets {
+            let want = if is_i2f {
+                (i2f.reference)(&i2f_request(i))
+            } else {
+                adder.eval(&add_request(i))
+            };
+            assert_eq!(
+                outcome.outputs_for(ticket),
+                Some(want.as_slice()),
+                "{ticket}"
+            );
+        }
+        throughput.push(outcome.gate_evals_per_mem_cycle());
+    }
+    let ratio = throughput[2] / throughput[0];
+    assert!(
+        ratio >= 2.0,
+        "4 shards must at least double aggregate gate-evals/MEM-cycle: {ratio:.2}x"
+    );
+}
+
+/// One run of the packing comparison: the model-clock figures the
+/// assertions compare, plus the densest adder8 line.
+struct PackingRun {
+    wall: u64,
+    cell_utilization: f64,
+    adder_max_per_line: usize,
+}
+
+/// Serves 1020 adder8 + 510 int2float requests, interleaved, on one
+/// 255×255/5 shard, checking every output against the references.
+fn packing_run(narrow_mappings: bool, two_dimensional: bool) -> PackingRun {
+    let i2f = Benchmark::Int2float.build();
+    let i2f_nor = i2f.netlist.to_nor();
+    let adder = ripple_adder(8);
+    let adder_nor = adder.to_nor();
+    let mut builder = PimClusterBuilder::new(1, 255, 5);
+    if !two_dimensional {
+        builder = builder.pack_limit(1).axis_policy(AxisPolicy::Rows);
+    }
+    let mut cluster = builder.build().expect("cluster");
+    let (pi, pa) = if narrow_mappings {
+        (
+            cluster.compile_packed(&i2f_nor).expect("compiles"),
+            cluster.compile_packed(&adder_nor).expect("compiles"),
+        )
+    } else {
+        (
+            cluster.compile(&i2f_nor).expect("compiles"),
+            cluster.compile(&adder_nor).expect("compiles"),
+        )
+    };
+    let mut tickets = Vec::new();
+    for i in 0..1020 {
+        tickets.push((
+            cluster.submit(&pa, add_request(i)).expect("submits"),
+            false,
+            i,
+        ));
+        if i < 510 {
+            tickets.push((
+                cluster.submit(&pi, i2f_request(i)).expect("submits"),
+                true,
+                i,
+            ));
+        }
+    }
+    let outcome = cluster.flush().expect("flushes");
+    let mut adders = std::collections::HashSet::new();
+    for &(ticket, is_i2f, i) in &tickets {
+        let want = if is_i2f {
+            (i2f.reference)(&i2f_request(i))
+        } else {
+            adders.insert(ticket);
+            adder.eval(&add_request(i))
+        };
+        assert_eq!(
+            outcome.outputs_for(ticket),
+            Some(want.as_slice()),
+            "{ticket}"
+        );
+    }
+    let mut per_line = std::collections::HashMap::new();
+    for r in outcome
+        .results
+        .iter()
+        .filter(|r| adders.contains(&r.ticket))
+    {
+        *per_line.entry((r.wave, r.shard, r.line)).or_insert(0usize) += 1;
+    }
+    PackingRun {
+        wall: outcome.wall_mem_cycles,
+        cell_utilization: outcome.cell_utilization(),
+        adder_max_per_line: per_line.values().copied().max().unwrap_or(0),
+    }
+}
+
+#[test]
+fn two_dimensional_packing_beats_row_only_placement() {
+    // Three schedulers on the same traffic: full-width mappings one per
+    // row, narrow `compile_packed` mappings still one per row, and the
+    // default 2D planner co-packing the narrow mappings.
+    let row_only = packing_run(false, false);
+    let narrow = packing_run(true, false);
+    let packed = packing_run(true, true);
+    assert!(
+        packed.adder_max_per_line >= 4,
+        "the 2D planner must co-pack >= 4 adder8 requests per line: {}",
+        packed.adder_max_per_line
+    );
+    assert!(
+        packed.cell_utilization > narrow.cell_utilization,
+        "cell utilization must improve over row-only placement of the same \
+         programs: {:.3} vs {:.3}",
+        packed.cell_utilization,
+        narrow.cell_utilization
+    );
+    assert!(
+        packed.wall < row_only.wall && packed.wall < narrow.wall,
+        "wall MEM cycles must improve: {} vs {} / {}",
+        packed.wall,
+        row_only.wall,
+        narrow.wall
+    );
+}
+
+#[test]
+fn engines_agree_on_the_packed_mixed_workload_past_a_word_boundary() {
+    // The 2D-packed mixed workload (1020 adder8 + 510 int2float, one
+    // 255×255/5 shard: four words per line, co-packing on both axes)
+    // under each engine. Everything but host time must match, and a warm
+    // cluster repeats its first flush's accounting.
+    let i2f = Benchmark::Int2float.build();
+    let i2f_nor = i2f.netlist.to_nor();
+    let adder = ripple_adder(8);
+    let adder_nor = adder.to_nor();
+    let add_reqs: Vec<Vec<bool>> = (0..1020).map(add_request).collect();
+    let i2f_reqs: Vec<Vec<bool>> = (0..510).map(i2f_request).collect();
+    let outcomes: Vec<ClusterOutcome> = [SimEngine::ScalarReference, SimEngine::WordParallel]
+        .into_iter()
+        .map(|engine| {
+            let mut cluster = PimClusterBuilder::new(1, 255, 5)
+                .engine(engine)
+                .build()
+                .expect("cluster");
+            let pa = cluster.compile_packed(&adder_nor).expect("compiles");
+            let pi = cluster.compile_packed(&i2f_nor).expect("compiles");
+            let mut run_once = || {
+                let _ = cluster
+                    .submit_batch(&pa, add_reqs.iter().cloned())
+                    .expect("submits");
+                let _ = cluster
+                    .submit_batch(&pi, i2f_reqs.iter().cloned())
+                    .expect("submits");
+                cluster.flush().expect("flushes")
+            };
+            let first = run_once();
+            for _ in 0..2 {
+                assert_eq!(
+                    run_once().stats,
+                    first.stats,
+                    "{engine:?}: warm flush diverged"
+                );
+            }
+            first
+        })
+        .collect();
+    let (scalar, word) = (&outcomes[0], &outcomes[1]);
+    assert_eq!(
+        scalar.results, word.results,
+        "per-ticket outputs/placements"
+    );
+    assert_eq!(scalar.stats, word.stats);
+    assert_eq!(scalar.input_check, word.input_check);
+    assert_eq!(scalar.wall_mem_cycles, word.wall_mem_cycles);
+    assert_eq!(scalar.waves, word.waves);
+    for result in &scalar.results {
+        let i = result.ticket.id() as usize;
+        let want = if i < 1020 {
+            adder.eval(&add_request(i))
+        } else {
+            (i2f.reference)(&i2f_request(i - 1020))
+        };
+        assert_eq!(result.outputs, want, "ticket #{i}");
     }
 }
 

@@ -1,11 +1,13 @@
 //! Integration tests for the self-healing health subsystem: SLO metric
 //! percentiles pinned against a serial reference, error-budget
 //! quarantine and scrub-driven recovery, deterministic rerouting around
-//! quarantined shards, and scrub/deadline coexistence in the worker.
+//! quarantined shards, scrub/deadline coexistence in the worker, retries
+//! and line retirement under uncorrectable and stuck-at faults, and
+//! seeded chaos campaigns against both front-ends.
 
 use pimecc::cluster::LatencyStats;
-use pimecc::core::{CampaignConfig, FaultCampaign};
-use pimecc::netlist::generators::{mul, to_bits};
+use pimecc::core::{CampaignConfig, CheckReport, FaultCampaign};
+use pimecc::netlist::generators::{mul, ripple_adder, to_bits};
 use pimecc::netlist::{Netlist, NetlistBuilder};
 use pimecc::prelude::*;
 use proptest::prelude::*;
@@ -166,11 +168,6 @@ fn background_scrubs_coexist_with_deadline_flushes() {
         .spawn()
         .expect("spawns");
     let p = handle.compile(&nor).expect("compiles");
-    assert_eq!(
-        handle.metrics().effective_flush_after,
-        Some(Duration::from_millis(2)),
-        "non-adaptive deadline is reported verbatim"
-    );
     let deadline = Instant::now() + Duration::from_secs(20);
     for v in 0..20u32 {
         let t = handle
@@ -420,6 +417,76 @@ fn service_waits_surface_dead_letters_exactly_once() {
     handle.close().expect("closes");
 }
 
+#[test]
+fn stuck_cells_retire_lines_on_the_struck_shard_only() {
+    // Permanent damage on one shard of a 4×90/3 pool serving adder8: two
+    // cells wedged at 1 in each of four ECC blocks of shard 2. A batch
+    // that writes a 0 under both cells of a block draws an uncorrectable
+    // verdict, its tickets are suppressed and retried, and recurring
+    // strikes retire the struck block-lines. Every ticket still resolves
+    // bit-exact or dead-letters, exactly once.
+    const STUCK: [(usize, usize); 8] = [
+        (0, 0),
+        (1, 1),
+        (4, 3),
+        (5, 4),
+        (30, 30),
+        (31, 31),
+        (60, 60),
+        (61, 61),
+    ];
+    let adder = ripple_adder(8);
+    let mut cluster = PimClusterBuilder::new(4, 90, 3)
+        .auto_flush_at(512)
+        .retire_after(2)
+        .max_retries(2)
+        .shard_fault_hook(2, |pm| {
+            for &(r, c) in &STUCK {
+                pm.set_stuck(r, c, true);
+            }
+        })
+        .build()
+        .expect("builds");
+    let p = cluster.compile_packed(&adder.to_nor()).expect("compiles");
+    let request = |i: usize| -> Vec<bool> {
+        let x = (i * 73) as u32 & 0xFFFF;
+        (0..16).map(|b| x >> b & 1 != 0).collect()
+    };
+    let tickets: Vec<Ticket> = (0..12_000)
+        .map(|i| cluster.submit(&p, request(i)).expect("submits"))
+        .collect();
+    let outcome = cluster.flush().expect("flushes");
+
+    let failed: std::collections::HashSet<u64> =
+        outcome.failed.iter().map(|f| f.ticket.id()).collect();
+    assert_eq!(outcome.results.len() + failed.len(), tickets.len());
+    for (i, t) in tickets.iter().enumerate() {
+        match outcome.outputs_for(*t) {
+            Some(got) => {
+                assert!(!failed.contains(&t.id()), "ticket #{i} resolved twice");
+                assert_eq!(got, adder.eval(&request(i)), "ticket #{i} corrupt");
+            }
+            None => assert!(failed.contains(&t.id()), "ticket #{i} vanished"),
+        }
+    }
+    assert!(
+        outcome.retries >= 1,
+        "suspect tickets must be re-dispatched, not resolved"
+    );
+    let snap = cluster.health();
+    assert!(
+        snap.shards[2].retired_lines >= 3,
+        "recurring stuck-at evidence must retire at least one block-line \
+         (m = 3 physical lines), ledger shows {}",
+        snap.shards[2].retired_lines
+    );
+    for (i, shard) in snap.shards.iter().enumerate() {
+        if i != 2 {
+            assert_eq!(shard.retired_lines, 0, "shard {i}: retirement spread");
+        }
+    }
+}
+
 /// How many random fault campaigns the chaos proptest runs; CI raises it
 /// via `PIMECC_CHAOS_CASES` (see `.github/workflows`).
 fn chaos_cases() -> u32 {
@@ -571,6 +638,35 @@ fn chaos_round(seed: u64) {
             ),
         }
     }
+    // Per-shard accounting sums to the aggregate through retries,
+    // suspect-line scrubs and partitioned levels.
+    let reports = &outcome.shard_reports;
+    assert_eq!(
+        reports.iter().map(|r| r.busy_mem_cycles).sum::<u64>(),
+        outcome.stats.mem_cycles,
+        "seed {seed:#x}: shard busy cycles must sum to the aggregate"
+    );
+    assert_eq!(
+        reports.iter().map(|r| r.gate_evals).sum::<u64>(),
+        outcome.gate_evals,
+        "seed {seed:#x}: shard gate evaluations must sum to the aggregate"
+    );
+    let mut input_check = CheckReport::default();
+    for r in reports {
+        input_check += r.input_check;
+    }
+    assert_eq!(
+        input_check, outcome.input_check,
+        "seed {seed:#x}: shard input checks must sum to the aggregate"
+    );
+    let health = cluster.health();
+    assert_eq!(
+        health.requests,
+        outcome.results.len() as u64,
+        "seed {seed:#x}"
+    );
+    assert_eq!(health.retries, outcome.retries, "seed {seed:#x}");
+    assert_eq!(health.dead_letters, failed.len() as u64, "seed {seed:#x}");
 
     // Service front-end, same campaign replayed from the same seed: every
     // wait returns a verified answer or an explicit RequestFailed.
@@ -595,27 +691,34 @@ fn chaos_round(seed: u64) {
             (t, x, y)
         })
         .collect();
+    let (mut served, mut dead) = (0u64, 0u64);
     for (t, is_mux, v) in &tickets {
         match t.wait() {
-            Ok(r) => assert_eq!(
-                r.outputs,
-                expected(*is_mux, *v),
-                "seed {seed:#x}: service ticket #{} resolved with corrupt outputs",
-                t.id()
-            ),
-            Err(ClusterError::RequestFailed { .. }) => {}
+            Ok(r) => {
+                assert_eq!(
+                    r.outputs,
+                    expected(*is_mux, *v),
+                    "seed {seed:#x}: service ticket #{} resolved with corrupt outputs",
+                    t.id()
+                );
+                served += 1;
+            }
+            Err(ClusterError::RequestFailed { .. }) => dead += 1,
             Err(e) => panic!("seed {seed:#x}: unexpected error: {e}"),
         }
     }
     for (t, x, y) in &mul_tickets {
         match t.wait() {
-            Ok(r) => assert_eq!(
-                r.outputs,
-                to_bits(x * y, 12),
-                "seed {seed:#x}: partitioned service ticket #{} resolved {x} * {y} wrong",
-                t.id()
-            ),
-            Err(ClusterError::RequestFailed { .. }) => {}
+            Ok(r) => {
+                assert_eq!(
+                    r.outputs,
+                    to_bits(x * y, 12),
+                    "seed {seed:#x}: partitioned service ticket #{} resolved {x} * {y} wrong",
+                    t.id()
+                );
+                served += 1;
+            }
+            Err(ClusterError::RequestFailed { .. }) => dead += 1,
             Err(e) => panic!("seed {seed:#x}: unexpected error: {e}"),
         }
         assert!(
@@ -624,6 +727,9 @@ fn chaos_round(seed: u64) {
             t.id()
         );
     }
+    let metrics = handle.metrics();
+    assert_eq!(metrics.requests, served, "seed {seed:#x}: served requests");
+    assert_eq!(metrics.dead_letters, dead, "seed {seed:#x}: dead letters");
     handle.close().expect("closes");
 }
 
